@@ -33,17 +33,7 @@ from .reductions import (
     verify_reduction_iff,
 )
 from .separation import code_hypergraph, is_s_set, number, separation_hypergraph
-from .theorems import (
-    check_bound_theorems,
-    check_chain,
-    check_code_order,
-    check_complement_duality,
-    check_domination_bounds,
-    check_gap_corollary,
-    check_separation_order,
-    check_spider_formulas,
-    spider_closed_forms,
-)
+from .theorems import check_spider_formulas, check_theorem, spider_closed_forms
 
 DEFAULT_GUARD = 40
 
@@ -74,15 +64,27 @@ def _load_graph(path: str):
 
 
 def _guard(args) -> int:
-    if args.guard is not None:
-        return args.guard
     env = os.environ.get("SEPCODES_GUARD")
-    if env:
+    if args.guard is not None:
+        guard, source = args.guard, "--guard"
+    elif env:
         try:
-            return int(env)
+            guard, source = int(env), "SEPCODES_GUARD"
         except ValueError:
             raise InputError("SEPCODES_GUARD must be an integer, got %r" % env)
-    return DEFAULT_GUARD
+    else:
+        return DEFAULT_GUARD
+    if guard < 0:
+        raise InputError("%s must be a nonnegative vertex count, got %d" % (source, guard))
+    return guard
+
+
+def _write_out(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write --out: %s" % exc)
 
 
 def _check_guard(n: int, guard: int):
@@ -112,31 +114,20 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-_CHECKS = {
-    "3": check_bound_theorems,
-    "4": check_bound_theorems,
-    "5": check_bound_theorems,
-    "7": check_complement_duality,
-    "cor2": check_gap_corollary,
-    "fig2": check_code_order,
-    "eq1": check_domination_bounds,
-    "eq2": check_domination_bounds,
-    "eq4": check_chain,
-    "sep": check_separation_order,
-}
+# verify id -> theorem id of its report (theorems.INEQUALITIES, thm7, cor2)
+_CHECKS = {"3": "thm3+thm4+thm5", "4": "thm3+thm4+thm5", "5": "thm3+thm4+thm5",
+           "7": "thm7", "cor2": "cor2", "fig2": "fig2", "eq1": "eq1+eq2",
+           "eq2": "eq1+eq2", "eq4": "eq4", "sep": "sep-order"}
 
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     _check_guard(g.n, _guard(args))
     wanted = args.theorems.split(",") if args.theorems else sorted(set(_CHECKS))
-    checks = []
     for name in wanted:
         if name not in _CHECKS:
             raise InputError("unknown theorem id %r" % name)
-        if _CHECKS[name] not in checks:
-            checks.append(_CHECKS[name])
-    reports = [fn(g) for fn in checks]
+    reports = [check_theorem(g, t) for t in dict.fromkeys(_CHECKS[name] for name in wanted)]
     payload = {
         "command": "verify",
         "reports": [r.as_dict() for r in reports],
@@ -155,8 +146,7 @@ def cmd_families(args) -> int:
         raise InputError(str(exc))
     text = format_graph(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stderr.write(text)
     _emit({"command": "families", "family": args.name, "k": args.k,
@@ -188,8 +178,7 @@ def cmd_reduce(args) -> int:
         "out": args.out,
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(format_graph(art.graph))
+        _write_out(args.out, format_graph(art.graph))
     if args.verify:
         chosen = padded_test_choice(inst)
         forward = forward_s_set(art, chosen)
@@ -227,8 +216,7 @@ def cmd_dump(args) -> int:
         h = reduce_to_clutter(h)
     text = format_hypergraph(h)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
         _emit({"command": "dump", "kind": args.kind, "edges": len(h.edges),
                "out": args.out}, args.pretty)
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .kinds import ALL_KINDS
+from .kinds import ALL_KINDS, split_code_kind
 
 __all__ = [
     "Graph",
@@ -138,22 +138,14 @@ def detect_twins(g: Graph) -> AdmissibilityReport:
         else:
             if g.adj[u] == g.adj[v]:
                 open_tw.append((u, v))
-    no_iso = not isolated
-    no_open = not open_tw
-    no_closed = not closed_tw
-    sep_ok = {"L": True, "O": no_open, "I": no_closed, "F": no_open and no_closed}
-    dom_ok = {"D": True, "TD": no_iso}
+    # verdicts per part of a kind; None stands for an absent part
+    sep_ok = {None: True, "L": True, "O": not open_tw, "I": not closed_tw,
+              "F": not open_tw and not closed_tw}
+    dom_ok = {None: True, "D": True, "TD": not isolated}
     verdicts = {}
     for kind in ALL_KINDS:
-        if kind in sep_ok:
-            verdicts[kind] = sep_ok[kind]
-        elif kind in dom_ok:
-            verdicts[kind] = dom_ok[kind]
-        else:
-            s, d = kind[:-1], kind[-1:]
-            if kind.endswith("TD"):
-                s, d = kind[:-2], "TD"
-            verdicts[kind] = sep_ok[s] and dom_ok[d]
+        s, d = split_code_kind(kind)
+        verdicts[kind] = sep_ok[s] and dom_ok[d]
     return AdmissibilityReport(isolated, tuple(open_tw), tuple(closed_tw), verdicts)
 
 

@@ -204,32 +204,36 @@ def _lex_min_cover(masks, tau: int, n: int) -> frozenset[int]:
 
     Candidate sets of equal size are compared as sorted vertex tuples; the
     include-first DFS over ascending vertices finds the smallest one first.
+    The DFS keeps an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
     """
     support = 0
     for m in masks:
         support |= m
     cand = [v for v in range(n) if support >> v & 1]
-    found = None
-
-    def dfs(idx: int, chosen: int, banned: int, size: int):
-        nonlocal found
-        if found is not None:
-            return
+    stack = [(0, 0, 0, 0)]  # (candidate index, chosen, banned, size)
+    while stack:
+        idx, chosen, banned, size = stack.pop()
         if all(m & chosen for m in masks):
-            found = chosen
-            return
+            return frozenset(_bits(chosen))
         if idx >= len(cand) or size >= tau:
-            return
+            continue
         lb = _matching_lower_bound(masks, chosen, banned)
         if lb >= 1 << 30 or size + lb > tau:
-            return
-        v = cand[idx]
-        dfs(idx + 1, chosen | (1 << v), banned, size + 1)
-        dfs(idx + 1, chosen, banned | (1 << v), size)
+            continue
+        bit = 1 << cand[idx]
+        stack.append((idx + 1, chosen, banned | bit, size))  # exclude, popped second
+        stack.append((idx + 1, chosen | bit, banned, size + 1))  # include, popped first
+    raise AssertionError("no cover of size tau found; solver bug")
 
-    dfs(0, 0, 0, 0)
-    assert found is not None, "no cover of size tau found; solver bug"
-    return frozenset(_bits(found))
+
+def _clutter_masks(h: Hypergraph):
+    """The clutter edges of h as bitmasks, or None when h has an empty edge
+    (no cover exists); an empty list means every set is a cover."""
+    clutter = reduce_to_clutter(h)
+    if any(not e for e in clutter.edges):
+        return None
+    return [sum(1 << v for v in e) for e in clutter.edges]
 
 
 def covering_number(h: Hypergraph) -> CoverResult:
@@ -238,12 +242,11 @@ def covering_number(h: Hypergraph) -> CoverResult:
     The witness is the minimum cover whose sorted vertex tuple is smallest,
     which makes repeated runs byte-identical.
     """
-    clutter = reduce_to_clutter(h)
-    if any(not e for e in clutter.edges):
+    masks = _clutter_masks(h)
+    if masks is None:
         return CoverResult(False, None, None)
-    if not clutter.edges:
+    if not masks:
         return CoverResult(True, 0, frozenset())
-    masks = [sum(1 << v for v in e) for e in clutter.edges]
     tau = _solve_tau(masks, h.n)
     witness = _lex_min_cover(masks, tau, h.n)
     return CoverResult(True, tau, witness)
@@ -258,13 +261,10 @@ def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
     """
     if budget < 0:
         return False
-    clutter = reduce_to_clutter(h)
-    if any(not e for e in clutter.edges):
+    masks = _clutter_masks(h)
+    if masks is None:
         return False
-    if not clutter.edges:
-        return True
-    masks = [sum(1 << v for v in e) for e in clutter.edges]
-    return _solve_tau(masks, h.n, cap=budget) <= budget
+    return not masks or _solve_tau(masks, h.n, cap=budget) <= budget
 
 
 def covering_number_bruteforce(h: Hypergraph) -> CoverResult:

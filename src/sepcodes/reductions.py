@@ -423,18 +423,31 @@ def verify_reduction_iff(inst: TestCoverInstance, s: str, guard: int | None = No
 
 
 def parse_test_cover(text: str) -> TestCoverInstance:
-    rows = [ln.split("#")[0].strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln]
+    """Header 'num_items num_tests budget', then one line of items per test;
+    '#' starts a comment.  Errors carry the 1-based line number."""
+    lines = text.splitlines()
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#")[0].split()
+        if not parts:
+            continue
+        try:
+            rows.append((lineno, [int(x) for x in parts]))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc))
     if not rows:
         raise ValueError("empty test-cover file")
-    head = rows[0].split()
-    if len(head) != 3:
-        raise ValueError("expected header 'num_items num_tests budget'")
-    z, y, ell = map(int, head)
-    if len(rows) - 1 != y:
-        raise ValueError("header promises %d tests, found %d" % (y, len(rows) - 1))
-    tests = [frozenset(map(int, ln.split())) for ln in rows[1:]]
-    return TestCoverInstance.of(z, tests, ell)
+    (head_line, head), tests = rows[0], rows[1:]
+    if len(head) != 3 or head[2] < 0:
+        raise ValueError("line %d: expected header 'num_items num_tests budget', "
+                         "budget >= 0" % head_line)
+    z, y, ell = head
+    for lineno, items in tests:
+        if any(not 0 <= u < z for u in items):
+            raise ValueError("line %d: test %s references unknown item" % (lineno, items))
+    if len(tests) != y:
+        raise ValueError("line %d: header promises %d tests, found %d" % (len(lines), y, len(tests)))
+    return TestCoverInstance.of(z, [items for _, items in tests], ell)
 
 
 def format_test_cover(inst: TestCoverInstance) -> str:

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, complement, detect_twins, make_family, open_neighborhood
+from .graphs import Graph, complement, detect_twins, make_family
 from .hypergraphs import reduce_to_clutter
-from .kinds import CODE_KINDS, SEPARATION_KINDS
-from .separation import (
-    code_hypergraph,
-    is_s_set,
-    is_x_code,
-    number,
-    separation_hypergraph,
-)
+from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS
+from .separation import is_s_set, number, separation_hypergraph
 
 __all__ = [
     "TheoremReport",
@@ -27,6 +21,10 @@ __all__ = [
     "augment_to_sd_code",
     "augment_to_std_code_of",
     "augment_to_std_code_li",
+    "INEQUALITIES",
+    "COMPLEMENT_PAIRS",
+    "check_inequalities",
+    "check_theorem",
     "check_bound_theorems",
     "check_chain",
     "check_domination_bounds",
@@ -185,10 +183,35 @@ FIG2_ARROWS = (
 )
 
 
-def _leq_items(report: TheoremReport, g: Graph, numbers, items):
-    """items: iterable of (label, lhs kind, rhs kind, slack, factor); checks
-    gamma^lhs <= gamma^rhs * factor + slack when both sides are feasible."""
-    for label, lhs, rhs, slack, factor in items:
+# One row (theorem id, label, lhs, rhs, factor, slack) per inequality
+# gamma^lhs <= factor * gamma^rhs + slack; a theorem id's rows are checked
+# in table order, and a row with an infeasible side is skipped.
+INEQUALITIES = (
+    *(row for s in SEPARATION_KINDS for row in (
+        ("eq4", "%s<=%sD" % (s, s), s, s + "D", 1, 0),
+        ("eq4", "%sD<=%sTD" % (s, s), s + "D", s + "TD", 1, 0),
+    )),
+    ("eq1+eq2", "D<=TD", "D", "TD", 1, 0),
+    *(("eq1+eq2", "%s<=%s%s" % (d, s, d), d, s + d, 1, 0)
+      for d in DOMINATION_KINDS for s in SEPARATION_KINDS),
+    *(("fig2", "%s<=%s" % (a, b), a, b, 1, 0) for a, b in FIG2_ARROWS),
+    *(("sep-order", "%s<=%s" % (a, b), a, b, 1, 0)
+      for a, b in (("L", "O"), ("L", "I"), ("O", "F"), ("I", "F"))),
+    *(("thm3+thm4+thm5", "thm3:%sD<=%s+1" % (s, s), s + "D", s, 1, 1) for s in SEPARATION_KINDS),
+    *(("thm3+thm4+thm5", "thm4:%sTD<=%s+1" % (s, s), s + "TD", s, 1, 1) for s in ("O", "F")),
+    *(("thm3+thm4+thm5", "thm5:%sTD<=2%s" % (s, s), s + "TD", s, 2, 0) for s in ("L", "I")),
+    *(("thm3+thm4+thm5", "%sTD<=%sD+1" % (s, s), s + "TD", s + "D", 1, 1) for s in ("O", "F")),
+)
+
+
+def check_inequalities(g: Graph, theorem: str, numbers=None) -> TheoremReport:
+    """Check the INEQUALITIES rows of one theorem id."""
+    rows = [row for row in INEQUALITIES if row[0] == theorem]
+    if not rows:
+        raise ValueError("no inequalities for theorem id %r" % theorem)
+    numbers = numbers or all_numbers(g)
+    report = TheoremReport(theorem, _describe(g))
+    for _, label, lhs, rhs, factor, slack in rows:
         a, b = numbers[lhs], numbers[rhs]
         if not (a.feasible and b.feasible):
             report.skipped.append(label)
@@ -197,77 +220,51 @@ def _leq_items(report: TheoremReport, g: Graph, numbers, items):
         report.quantities[rhs] = b.tau
         if not a.tau <= factor * b.tau + slack:
             report.fail(g, label, {lhs: a.tau, rhs: b.tau})
+    return report
 
 
 def check_chain(g: Graph, numbers=None) -> TheoremReport:
     """gamma^S <= gamma^SD <= gamma^STD for each separation kind."""
-    numbers = numbers or all_numbers(g)
-    report = TheoremReport("eq4", _describe(g))
-    items = []
-    for s in SEPARATION_KINDS:
-        items.append(("%s<=%sD" % (s, s), s, s + "D", 0, 1))
-        items.append(("%sD<=%sTD" % (s, s), s + "D", s + "TD", 0, 1))
-    _leq_items(report, g, numbers, items)
-    return report
+    return check_inequalities(g, "eq4", numbers)
 
 
 def check_domination_bounds(g: Graph, numbers=None) -> TheoremReport:
     """gamma^D <= gamma^TD, and D/TD lower-bound the matching code numbers."""
-    numbers = numbers or all_numbers(g)
-    report = TheoremReport("eq1+eq2", _describe(g))
-    items = [("D<=TD", "D", "TD", 0, 1)]
-    for x in ("LD", "OD", "ID", "FD"):
-        items.append(("D<=%s" % x, "D", x, 0, 1))
-    for x in ("LTD", "OTD", "ITD", "FTD"):
-        items.append(("TD<=%s" % x, "TD", x, 0, 1))
-    _leq_items(report, g, numbers, items)
-    return report
+    return check_inequalities(g, "eq1+eq2", numbers)
 
 
 def check_code_order(g: Graph, numbers=None) -> TheoremReport:
     """The partial order between the eight code numbers."""
-    numbers = numbers or all_numbers(g)
-    report = TheoremReport("fig2", _describe(g))
-    items = [("%s<=%s" % (a, b), a, b, 0, 1) for a, b in FIG2_ARROWS]
-    _leq_items(report, g, numbers, items)
-    return report
+    return check_inequalities(g, "fig2", numbers)
 
 
 def check_separation_order(g: Graph, numbers=None) -> TheoremReport:
     """gamma^L <= gamma^O, gamma^I and gamma^O, gamma^I <= gamma^F."""
-    numbers = numbers or all_numbers(g)
-    report = TheoremReport("sep-order", _describe(g))
-    items = [
-        ("L<=O", "L", "O", 0, 1),
-        ("L<=I", "L", "I", 0, 1),
-        ("O<=F", "O", "F", 0, 1),
-        ("I<=F", "I", "F", 0, 1),
-    ]
-    _leq_items(report, g, numbers, items)
-    return report
+    return check_inequalities(g, "sep-order", numbers)
 
 
 def check_bound_theorems(g: Graph, numbers=None) -> TheoremReport:
     """SD <= S+1; STD <= S+1 for O,F; STD <= 2S for L,I; and the
     OD/OTD and FD/FTD gaps of at most one."""
-    numbers = numbers or all_numbers(g)
-    report = TheoremReport("thm3+thm4+thm5", _describe(g))
-    items = []
-    for s in SEPARATION_KINDS:
-        items.append(("thm3:%sD<=%s+1" % (s, s), s + "D", s, 1, 1))
-    for s in ("O", "F"):
-        items.append(("thm4:%sTD<=%s+1" % (s, s), s + "TD", s, 1, 1))
-    for s in ("L", "I"):
-        items.append(("thm5:%sTD<=2%s" % (s, s), s + "TD", s, 0, 2))
-    items.append(("OTD<=OD+1", "OTD", "OD", 1, 1))
-    items.append(("FTD<=FD+1", "FTD", "FD", 1, 1))
-    _leq_items(report, g, numbers, items)
-    return report
+    return check_inequalities(g, "thm3+thm4+thm5", numbers)
 
 
 # ---------------------------------------------------------------------------
 # Complementation.
 
+# One row (kind on G, kind on co-G, twin hypothesis) per S-number equality
+# under complementation; the hypothesis names the AdmissibilityReport twin
+# lists of G that must be empty.
+COMPLEMENT_PAIRS = (
+    ("L", "L", ()),
+    ("I", "O", ("closed_twins",)),
+    ("O", "I", ("open_twins",)),
+    ("F", "F", ("open_twins", "closed_twins")),
+)
+
+# (code kind, its separation kind) for every "code <= S + 1" inequality row
+_WITHIN_ONE = {(lhs, rhs) for _, _, lhs, rhs, factor, slack in INEQUALITIES
+               if rhs in SEPARATION_KINDS and (factor, slack) == (1, 1)}
 
 def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> TheoremReport:
     """Equalities of S-numbers under complementation, with their twin
@@ -277,29 +274,18 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
     co_numbers = co_numbers or all_numbers(gc)
     twins = detect_twins(g)
     report = TheoremReport("thm7", _describe(g))
-
-    def expect_equal(label, a, b):
+    for s, t, hypothesis in COMPLEMENT_PAIRS:
+        label = "%s(G)=%s(co-G)" % (s, t)
+        if any(getattr(twins, name) for name in hypothesis):
+            report.skipped.append(label)
+            continue
+        a, b = numbers[s], co_numbers[t]
         report.quantities[label] = (a.tau, b.tau)
         if not (a.feasible and b.feasible and a.tau == b.tau):
             report.fail(g, label, {"lhs": a.as_dict(), "rhs": b.as_dict()})
 
-    expect_equal("L(G)=L(co-G)", numbers["L"], co_numbers["L"])
-    if not twins.closed_twins:
-        expect_equal("I(G)=O(co-G)", numbers["I"], co_numbers["O"])
-    else:
-        report.skipped.append("I(G)=O(co-G)")
-    if not twins.open_twins:
-        expect_equal("O(G)=I(co-G)", numbers["O"], co_numbers["I"])
-    else:
-        report.skipped.append("O(G)=I(co-G)")
-    if twins.twin_free:
-        expect_equal("F(G)=F(co-G)", numbers["F"], co_numbers["F"])
-    else:
-        report.skipped.append("F(G)=F(co-G)")
-
     # clutter identities; these hold with no twin hypothesis
-    pairs = [("L", "L"), ("O", "I"), ("I", "O"), ("F", "F")]
-    for s, t in pairs:
+    for s, t, _ in COMPLEMENT_PAIRS:
         lhs = set(reduce_to_clutter(separation_hypergraph(g, s)).edges)
         rhs = set(reduce_to_clutter(separation_hypergraph(gc, t)).edges)
         if lhs != rhs:
@@ -313,27 +299,40 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
 
 def check_gap_corollary(g: Graph, numbers=None, co_numbers=None) -> TheoremReport:
     """Code numbers of a graph and its complement differ by at most one,
-    per pairing and twin hypothesis; infeasible sides are skipped."""
-    gc = complement(g)
+    per pairing and twin hypothesis; infeasible sides are skipped.
+
+    A pairing (s, t) of COMPLEMENT_PAIRS gives the code pairing (s+d, t+d)
+    when both codes lie within one of their S-numbers (a "code <= S + 1"
+    row of INEQUALITIES), since those S-numbers are equal under the
+    pairing's hypothesis: LD/LD, ID/OD, OD/ID, FD/FD and FTD/FTD."""
     numbers = numbers or all_numbers(g)
-    co_numbers = co_numbers or all_numbers(gc)
+    co_numbers = co_numbers or all_numbers(complement(g))
     twins = detect_twins(g)
     report = TheoremReport("cor2", _describe(g))
-    items = [("LD", "LD", True)]
-    items.append(("ID", "OD", not twins.closed_twins))
-    items.append(("OD", "ID", not twins.open_twins))
-    items.append(("FD", "FD", twins.twin_free))
-    items.append(("FTD", "FTD", twins.twin_free))
-    for a, b, hypothesis in items:
-        label = "|%s(G)-%s(co-G)|<=1" % (a, b)
-        lhs, rhs = numbers[a], co_numbers[b]
-        if not hypothesis or not (lhs.feasible and rhs.feasible):
-            report.skipped.append(label)
-            continue
-        report.quantities[label] = (lhs.tau, rhs.tau)
-        if abs(lhs.tau - rhs.tau) > 1:
-            report.fail(g, label, {a: lhs.tau, b: rhs.tau})
+    for d in DOMINATION_KINDS:
+        for s, t, hypothesis in COMPLEMENT_PAIRS:
+            a, b = s + d, t + d
+            if (a, s) not in _WITHIN_ONE or (b, t) not in _WITHIN_ONE:
+                continue
+            label = "|%s(G)-%s(co-G)|<=1" % (a, b)
+            lhs, rhs = numbers[a], co_numbers[b]
+            if any(getattr(twins, name) for name in hypothesis) or not (lhs.feasible and rhs.feasible):
+                report.skipped.append(label)
+                continue
+            report.quantities[label] = (lhs.tau, rhs.tau)
+            if abs(lhs.tau - rhs.tau) > 1:
+                report.fail(g, label, {a: lhs.tau, b: rhs.tau})
     return report
+
+
+def check_theorem(g: Graph, theorem: str) -> TheoremReport:
+    """The report of one theorem id: thm7, cor2 or a theorem id of
+    INEQUALITIES."""
+    if theorem == "thm7":
+        return check_complement_duality(g)
+    if theorem == "cor2":
+        return check_gap_corollary(g)
+    return check_inequalities(g, theorem)
 
 
 # ---------------------------------------------------------------------------

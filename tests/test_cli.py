@@ -69,6 +69,11 @@ def test_guard_flag_and_env(capsys, h4, monkeypatch):
     monkeypatch.setenv("SEPCODES_GUARD", "not-a-number")
     code, _, err = run(capsys, ["compute", "--graph", h4, "--kind", "L"])
     assert code == 1
+    code, _, err = run(capsys, ["compute", "--graph", h4, "--kind", "L", "--guard", "-3"])
+    assert code == 1 and "--guard must be a nonnegative" in err
+    monkeypatch.setenv("SEPCODES_GUARD", "-3")
+    code, _, err = run(capsys, ["verify", "--graph", h4])
+    assert code == 1 and "SEPCODES_GUARD must be a nonnegative" in err
 
 
 def test_verify_all_pass(capsys, h4):
@@ -106,6 +111,26 @@ def test_families_roundtrip(capsys, tmp_path):
     assert out_path.read_text().splitlines()[0] == "8 10"
     code, _, err = run(capsys, ["families", "--name", "nope", "--k", "3"])
     assert code == 1
+
+
+def test_out_write_error_exits_1(capsys, tmp_path, h4):
+    missing = str(tmp_path / "no-such-dir" / "x.txt")
+    tc = tmp_path / "tc.txt"
+    tc.write_text("3 2 2\n0\n1\n")
+    for argv in (
+        ["families", "--name", "path", "--k", "4", "--out", missing],
+        ["reduce", "--testcover", str(tc), "--sep", "I", "--out", missing],
+        ["dump", "--graph", h4, "--kind", "O", "--out", missing],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out and "no-such-dir" in err, argv
+
+
+def test_reduce_parse_error_has_line(capsys, tmp_path):
+    tc = tmp_path / "tc.txt"
+    tc.write_text("# two tests\n3 2 2\n0\n2 x\n")
+    code, _, err = run(capsys, ["reduce", "--testcover", str(tc), "--sep", "I"])
+    assert code == 1 and err.startswith("line 4: ")
 
 
 def test_reduce_verify(capsys, tmp_path):

@@ -165,7 +165,13 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_test_cover("3 1\n0\n")  # header too short
-    with pytest.raises(ValueError):
-        parse_test_cover("2 1 1\n0 7\n")  # unknown item
+    for text, line in (
+        ("3 1\n0\n", 1),  # header too short
+        ("2 1 1\n0 7\n", 2),  # unknown item
+        ("2 1 -1\n0\n", 1),  # negative budget
+        ("2 2 1\n0\n1 x\n", 3),  # non-integer item
+        ("# items\n2 1 1\n\n0 7\n", 4),  # comment and blank lines still count
+        ("2 2 1\n0\n", 2),  # fewer tests than the header promises
+    ):
+        with pytest.raises(ValueError, match="^line %d: " % line):
+            parse_test_cover(text)

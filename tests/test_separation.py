@@ -214,3 +214,10 @@ def test_locating_witness_leaves_at_most_one_undominated(g):
     c = res.witness
     missing = [v for v in range(g.n) if v not in c and not (g.adj[v] & c)]
     assert len(missing) <= 1
+
+
+def test_long_path_domination_needs_no_deep_recursion():
+    g = make_family("path", 1100)
+    res = number(g, "D")
+    assert res.feasible and res.tau == 367
+    assert is_x_code(g, "D", res.witness)

@@ -18,6 +18,7 @@ from sepcodes.theorems import (
     check_gap_corollary,
     check_separation_order,
     check_spider_formulas,
+    check_theorem,
     spider_closed_forms,
 )
 
@@ -170,6 +171,34 @@ def test_house_all_checks_pass():
         check_gap_corollary,
     ):
         assert check(house).passed
+
+
+def test_check_theorem_dispatches_by_id():
+    g = make_family("thin_spider", 4)
+    for theorem, check in (
+        ("eq4", check_chain),
+        ("eq1+eq2", check_domination_bounds),
+        ("fig2", check_code_order),
+        ("sep-order", check_separation_order),
+        ("thm3+thm4+thm5", check_bound_theorems),
+        ("thm7", check_complement_duality),
+        ("cor2", check_gap_corollary),
+    ):
+        report = check_theorem(g, theorem)
+        assert report.theorem == theorem and report.passed
+        assert report.as_dict() == check(g).as_dict()
+    with pytest.raises(ValueError):
+        check_theorem(g, "thm99")
+
+
+def test_gap_pairings_follow_the_within_one_bounds():
+    # twin-free, so every pairing's hypothesis holds and nothing is skipped
+    report = check_gap_corollary(make_family("path", 5))
+    assert report.passed and not report.skipped
+    assert sorted(report.quantities) == sorted(
+        "|%s(G)-%s(co-G)|<=1" % pair
+        for pair in (("LD", "LD"), ("ID", "OD"), ("OD", "ID"), ("FD", "FD"), ("FTD", "FTD"))
+    )
 
 
 def test_bound_report_skips_infeasible():
