@@ -4,7 +4,9 @@ A hypergraph is a universe 0..n-1 plus a list of hyperedges (frozensets).
 Covers are vertex sets meeting every hyperedge; the covering number tau is
 computed exactly by branch and bound on the clutter (the inclusion-minimal,
 duplicate-free hyperedges), with a brute-force enumerator kept alongside as
-an independent oracle.
+an independent oracle.  The search runs on each connected component of the
+clutter on its own: components share no vertex, so tau is the sum of the
+per-component values.
 
 Edges are represented as Python int bitmasks inside the solver.
 """
@@ -236,35 +238,88 @@ def _clutter_masks(h: Hypergraph):
     return [sum(1 << v for v in e) for e in clutter.edges]
 
 
+def _components(masks):
+    """Split clutter masks into connected components: vertex sets that no
+    edge joins.  Each edge unites the disjoint supports it meets (a
+    union-find whose sets are bitmasks); every component then keeps its
+    edges in clutter order, which `_solve_tau`'s "first smallest edge"
+    branching relies on."""
+    supports = []
+    for m in masks:
+        rest = []
+        for s in supports:
+            if s & m:
+                m |= s
+            else:
+                rest.append(s)
+        rest.append(m)
+        supports = rest
+    if len(supports) == 1:
+        return [masks]
+    return [[m for m in masks if m & s] for s in supports]
+
+
 def covering_number(h: Hypergraph) -> CoverResult:
     """Exact minimum cover via branch and bound on the clutter of h.
 
     The witness is the minimum cover whose sorted vertex tuple is smallest,
-    which makes repeated runs byte-identical.
+    which makes repeated runs byte-identical.  Each connected component K
+    of the clutter is solved on its own: tau is the sum of the tau_K, and
+    the witness is the union of the per-component lex-min witnesses W_K.
+    That union is the global lex-min witness:
+
+    - Sorted tuples of equal size are ordered by the smallest element of
+      their symmetric difference.
+    - A minimum cover uses only support vertices, and its restriction to
+      each component is a minimum cover of that component (a smaller
+      cover of K would give a smaller cover of h).
+    - Let C be the global lex-min minimum cover and W the union, which
+      meets every edge and has size tau, and suppose W != C.  Both use
+      only support vertices, so the smallest vertex of their symmetric
+      difference lies in one component K, and the restrictions C_K and
+      W_K are equal-size minimum covers of K whose symmetric difference
+      has that same smallest vertex.  As C precedes W, that vertex is in
+      C, so C_K precedes W_K, which contradicts the choice of W_K as K's
+      lex-min witness.
     """
     masks = _clutter_masks(h)
     if masks is None:
         return CoverResult(False, None, None)
-    if not masks:
-        return CoverResult(True, 0, frozenset())
-    tau = _solve_tau(masks, h.n)
-    witness = _lex_min_cover(masks, tau, h.n)
+    tau = 0
+    witness = frozenset()
+    for comp in _components(masks):
+        t = _solve_tau(comp, h.n)
+        tau += t
+        witness |= _lex_min_cover(comp, t, h.n)
     return CoverResult(True, tau, witness)
 
 
 def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
     """Decide whether some cover of size <= budget exists.
 
-    Same search as covering_number but with the incumbent capped at
-    budget+1, so the branch and bound never wastes time proving the exact
-    optimum once the question is settled.
+    Same search as covering_number, run per connected component of the
+    clutter, smallest first, with the incumbent capped at what the budget
+    leaves for that component: every component still to solve needs at
+    least one vertex.  The branch and bound never proves an exact optimum
+    once the question is settled, and the answer is False as soon as one
+    component exceeds its cap.
     """
     if budget < 0:
         return False
     masks = _clutter_masks(h)
     if masks is None:
         return False
-    return not masks or _solve_tau(masks, h.n, cap=budget) <= budget
+    comps = sorted(_components(masks), key=len)
+    left = budget
+    for i, comp in enumerate(comps):
+        cap = left - (len(comps) - 1 - i)
+        if cap < 1:
+            return False
+        t = _solve_tau(comp, h.n, cap=cap)
+        if t > cap:
+            return False
+        left -= t
+    return True
 
 
 def covering_number_bruteforce(h: Hypergraph) -> CoverResult:

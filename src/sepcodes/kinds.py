@@ -25,6 +25,3 @@ def split_code_kind(kind: str) -> tuple[str | None, str | None]:
         return kind[:-1], "D"
     raise ValueError("unknown kind %r" % kind)
 
-
-def is_kind(kind: str) -> bool:
-    return kind in ALL_KINDS

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcodes.hypergraphs import (
+    BRUTEFORCE_GUARD,
     Hypergraph,
     complete_rose,
     covering_number,
@@ -20,12 +21,34 @@ def hg(n, edges):
     return Hypergraph(n, tuple(frozenset(e) for e in edges))
 
 
-def hypergraphs(max_n=8, max_edges=8):
+def hypergraphs(max_n=8, max_edges=8, min_edge_size=0):
     def build(n):
-        edge = st.frozensets(st.integers(0, n - 1), max_size=n)
+        edge = st.frozensets(st.integers(0, n - 1), min_size=min_edge_size, max_size=n)
         return st.builds(lambda es: hg(n, es), st.lists(edge, max_size=max_edges))
 
     return st.integers(1, max_n).flatmap(build)
+
+
+def joined_hypergraphs():
+    """2 or 3 hypergraphs() on disjoint vertex sets, their labels interleaved
+    by a random permutation, so the clutter usually has several components.
+    The parts have no empty edge: one would make the whole join infeasible
+    before any component is solved."""
+
+    def join(parts):
+        n = sum(p.n for p in parts)
+
+        def relabel(perm):
+            edges, offset = [], 0
+            for p in parts:
+                edges += [{perm[offset + v] for v in e} for e in p.edges]
+                offset += p.n
+            return hg(n, edges)
+
+        return st.permutations(range(n)).map(relabel)
+
+    part = hypergraphs(max_n=BRUTEFORCE_GUARD // 3, min_edge_size=1)
+    return st.lists(part, min_size=2, max_size=3).flatmap(join)
 
 
 def test_is_cover_basic():
@@ -76,6 +99,11 @@ def test_covering_at_most():
     assert not covering_number_at_most(tri, -1)
     assert not covering_number_at_most(hg(2, [set()]), 2)
     assert covering_number_at_most(hg(2, []), 0)
+    # three components need three vertices, whatever the budget leaves
+    three = hg(6, [{0, 3}, {1, 4}, {2, 5}])
+    assert not covering_number_at_most(three, 2)
+    assert not covering_number_at_most(three, 0)
+    assert covering_number_at_most(three, 3)
 
 
 def test_rose_counts():
@@ -103,14 +131,19 @@ def test_bruteforce_guard():
         covering_number_bruteforce(hg(30, [{0}]))
 
 
-@given(hypergraphs())
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(hypergraphs(), joined_hypergraphs()))
+@settings(max_examples=300, deadline=None)
 def test_solver_matches_bruteforce(h):
     a = covering_number(h)
     b = covering_number_bruteforce(h)
     assert a.feasible == b.feasible
     assert a.tau == b.tau
     assert a.witness == b.witness
+    if a.feasible:
+        assert covering_number_at_most(h, a.tau)
+        assert not covering_number_at_most(h, a.tau - 1)
+    else:
+        assert not covering_number_at_most(h, h.n)
 
 
 @given(hypergraphs())
