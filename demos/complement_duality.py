@@ -5,7 +5,7 @@ separation swap roles (absent the corresponding twins); full separation is
 self-dual on twin-free graphs.  The script checks this on a small catalog
 and prints the underlying clutter identity for one example.
 
-Run: python3 demos/complement_duality.py
+Run: PYTHONPATH=src python3 demos/complement_duality.py
 """
 
 from sepcodes import (

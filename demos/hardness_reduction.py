@@ -6,7 +6,7 @@ splitting every item pair" to "does the constructed graph have a
 separating set of size at most k".  On tiny instances both sides are
 solved exactly and compared.
 
-Run: python3 demos/hardness_reduction.py
+Run: PYTHONPATH=src python3 demos/hardness_reduction.py
 """
 
 from sepcodes import (
@@ -27,7 +27,7 @@ if __name__ == "__main__":
           % ([sorted(t) for t in inst.tests], inst.budget))
     print("minimum test sub-collection: %s (size %d)" % (sorted(tc.witness), tc.tau))
     print()
-    for s in ("I", "O", "L"):
+    for s in ("I", "O", "L", "F"):
         art = build_reduction(inst, s)
         fwd = forward_s_set(art, padded_test_choice(inst))
         print("%s-reduction: n=%d, k=%d" % (s, art.graph.n, art.k))
@@ -35,8 +35,3 @@ if __name__ == "__main__":
               % (len(fwd), is_s_set(art.graph, s, fwd),
                  check_gadget_lower_bound(art, fwd)))
         print("  exact iff agreement: %s" % verify_reduction_iff(inst, s))
-    art = build_reduction(inst, "F")
-    fwd = forward_s_set(art, padded_test_choice(inst))
-    print("F-reduction: n=%d, k=%d (exact solve skipped here; see --deep in the CLI)"
-          % (art.graph.n, art.k))
-    print("  forward set size %d, separating=%s" % (len(fwd), is_s_set(art.graph, "F", fwd)))

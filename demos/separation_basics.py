@@ -1,6 +1,6 @@
 """Compute separation and code numbers for a few small graphs.
 
-Run: python3 demos/separation_basics.py
+Run: PYTHONPATH=src python3 demos/separation_basics.py
 """
 
 from sepcodes import (

@@ -4,7 +4,7 @@ Thin spiders: clique of size k matched to a stable set of size k.  Thick
 spiders are their complements.  For each k the script prints the tabulated
 value next to what the solver finds; a star marks disagreements.
 
-Run: python3 demos/spider_tables.py [kmax]
+Run: PYTHONPATH=src python3 demos/spider_tables.py [kmax]
 """
 
 import sys

@@ -50,9 +50,7 @@ from .reductions import (
     verify_reduction_iff,
 )
 from .separation import (
-    DeltaFamilies,
     code_hypergraph,
-    delta_families,
     is_s_set,
     is_x_code,
     number,

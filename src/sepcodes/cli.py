@@ -32,7 +32,7 @@ from .reductions import (
     parse_test_cover,
     verify_reduction_iff,
 )
-from .separation import code_hypergraph, is_s_set, number, separation_hypergraph
+from .separation import code_hypergraph, is_s_set, number
 from .theorems import check_spider_formulas, check_theorem, spider_closed_forms
 
 DEFAULT_GUARD = 40
@@ -185,17 +185,12 @@ def cmd_reduce(args) -> int:
         payload["forward_size"] = len(forward)
         payload["forward_is_s_set"] = is_s_set(art.graph, args.sep, forward)
         payload["forward_meets_lemma_bound"] = check_gadget_lower_bound(art, forward)
-        deep_ok = args.deep or args.sep != "F"
-        if deep_ok:
-            guard = None if args.deep else _guard(args)
-            try:
-                payload["iff_agrees"] = verify_reduction_iff(inst, args.sep, guard=guard)
-            except ValueError as exc:
-                raise InputError(str(exc))
-        else:
-            payload["iff_agrees"] = None  # F needs --deep
+        try:
+            payload["iff_agrees"] = verify_reduction_iff(inst, args.sep, guard=_guard(args))
+        except ValueError as exc:
+            raise InputError(str(exc))
     _emit(payload, args.pretty)
-    if args.verify and payload.get("iff_agrees") is False:
+    if payload.get("iff_agrees") is False:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -208,10 +203,7 @@ def cmd_dump(args) -> int:
         raise InputError("dump needs --kind (or --sep for a separation kind)")
     if args.kind not in ALL_KINDS:
         raise InputError("unknown kind %r" % args.kind)
-    if args.kind in ("L", "O", "I", "F"):
-        h = separation_hypergraph(g, args.kind)
-    else:
-        h = code_hypergraph(g, args.kind)
+    h = code_hypergraph(g, args.kind)
     if not args.raw:
         h = reduce_to_clutter(h)
     text = format_hypergraph(h)
@@ -275,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true",
                    help="check the forward construction and the exact iff")
-    p.add_argument("--deep", action="store_true",
-                   help="allow the expensive exact solve (needed for the F iff)")
     common(p)
     p.set_defaults(fn=cmd_reduce)
 

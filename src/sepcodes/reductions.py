@@ -167,6 +167,9 @@ def build_reduction(inst: TestCoverInstance, s: str) -> ReductionArtifact:
     if s in ("I", "F"):
         return _build_clique_based(inst, s)
     if s == "L":
+        if inst.budget == 0:
+            raise ValueError("the L reduction needs a budget of at least 1 "
+                             "(at budget 0 its forward set exceeds k)")
         return _build_locating(inst)
     raise ValueError("no reduction for separation kind %r" % s)
 

@@ -1,23 +1,24 @@
-"""Symmetric-difference families, separation/code hypergraphs, and numbers.
+"""Separation and code hypergraphs, their covering numbers, and oracles.
 
-Two deliberately redundant routes are exposed: membership tests work from
-the neighborhood definitions, while the numbers are computed as covering
-numbers of the hypergraphs built from symmetric-difference families.  Their
+Each separation property gives one hyperedge per vertex pair: the symmetric
+difference of the open or the closed neighborhoods of the two vertices.
+Which of the two is used depends only on the property and on whether the
+pair is adjacent (the recipe table below); domination adds the closed or
+open neighborhood of every vertex.  Two deliberately redundant routes are
+exposed: membership tests work from the neighborhood definitions, while the
+numbers are computed as covering numbers of these hypergraphs.  Their
 agreement is the executable form of the hypergraph characterization.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import Graph, closed_neighborhood, open_neighborhood
 from .hypergraphs import CoverResult, Hypergraph, covering_number, covering_number_at_most
-from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS, split_code_kind
+from .kinds import SEPARATION_KINDS, split_code_kind
 
 __all__ = [
-    "DeltaFamilies",
-    "delta_families",
     "separation_hypergraph",
     "code_hypergraph",
     "is_s_set",
@@ -34,37 +35,7 @@ __all__ = [
 BRUTEFORCE_GRAPH_GUARD = 16
 
 
-@dataclass(frozen=True)
-class DeltaFamilies:
-    """Symmetric differences of neighborhoods over all vertex pairs,
-    partitioned by adjacency.
-
-    Each entry is ((u, v), difference) with u < v.  adj_* ranges over edges,
-    nonadj_* over non-edges; open/closed refers to the neighborhoods used.
-    """
-
-    adj_open: tuple
-    adj_closed: tuple
-    nonadj_open: tuple
-    nonadj_closed: tuple
-
-
-def delta_families(g: Graph) -> DeltaFamilies:
-    adj_o, adj_c, non_o, non_c = [], [], [], []
-    for u, v in itertools.combinations(range(g.n), 2):
-        no = open_neighborhood(g, u) ^ open_neighborhood(g, v)
-        nc = closed_neighborhood(g, u) ^ closed_neighborhood(g, v)
-        if g.has_edge(u, v):
-            adj_o.append(((u, v), no))
-            adj_c.append(((u, v), nc))
-        else:
-            non_o.append(((u, v), no))
-            non_c.append(((u, v), nc))
-    return DeltaFamilies(tuple(adj_o), tuple(adj_c), tuple(non_o), tuple(non_c))
-
-
-# Hyperedge recipe per separation kind: (adjacent family, non-adjacent family),
-# each "open" or "closed".
+# Neighborhood type per separation kind: (adjacent pairs, non-adjacent pairs).
 _SEP_RECIPE = {
     "L": ("open", "closed"),
     "O": ("open", "open"),
@@ -81,29 +52,32 @@ def separation_hypergraph(g: Graph, s: str) -> Hypergraph:
     """
     if s not in SEPARATION_KINDS:
         raise ValueError("unknown separation kind %r" % s)
-    fams = delta_families(g)
-    adj_kind, non_kind = _SEP_RECIPE[s]
-    adj = fams.adj_open if adj_kind == "open" else fams.adj_closed
-    non = fams.nonadj_open if non_kind == "open" else fams.nonadj_closed
-    edges = [d for _, d in adj] + [d for _, d in non]
-    return Hypergraph(g.n, tuple(edges))
+    return code_hypergraph(g, s)
 
 
 def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
-    """Hypergraph whose covers are the codes of the given kind.
+    """Raw hypergraph whose covers are the sets of the given kind.
 
-    Domination contributes the closed neighborhoods (D) or the open
-    neighborhoods (TD); a combined kind adds the separation hyperedges.
+    The separation part gives one hyperedge per vertex pair, the symmetric
+    difference of the neighborhoods its recipe names: first the adjacent
+    pairs, then the non-adjacent ones, each in lexicographic pair order.
+    The domination part then adds the closed (D) or open (TD) neighborhood
+    of every vertex, in vertex order.
     """
     sep, dom = split_code_kind(kind)
+    nbhd = {"open": g.adj, "closed": [g.adj[v] | {v} for v in range(g.n)]}
     edges = []
     if sep is not None:
-        edges.extend(separation_hypergraph(g, sep).edges)
+        adj_nb, non_nb = (nbhd[t] for t in _SEP_RECIPE[sep])
+        non = []
+        for u, v in itertools.combinations(range(g.n), 2):
+            if v in g.adj[u]:
+                edges.append(adj_nb[u] ^ adj_nb[v])
+            else:
+                non.append(non_nb[u] ^ non_nb[v])
+        edges += non
     if dom is not None:
-        if dom == "D":
-            edges.extend(closed_neighborhood(g, v) for v in range(g.n))
-        else:
-            edges.extend(open_neighborhood(g, v) for v in range(g.n))
+        edges += nbhd["closed" if dom == "D" else "open"]
     return Hypergraph(g.n, tuple(edges))
 
 
@@ -167,12 +141,8 @@ def x_number(g: Graph, kind: str) -> CoverResult:
 
 
 def number(g: Graph, kind: str) -> CoverResult:
-    """Dispatch: separation kinds go to s_number, code kinds to x_number."""
-    if kind in SEPARATION_KINDS:
-        return s_number(g, kind)
-    if kind in DOMINATION_KINDS or kind in CODE_KINDS:
-        return x_number(g, kind)
-    raise ValueError("unknown kind %r" % kind)
+    """Minimum set of any kind (separation, domination or code)."""
+    return covering_number(code_hypergraph(g, kind))
 
 
 def _bruteforce_min(g: Graph, accept) -> CoverResult:

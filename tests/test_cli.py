@@ -149,14 +149,19 @@ def test_reduce_verify(capsys, tmp_path):
     assert out_path.read_text().startswith("23 ")
 
 
-def test_reduce_f_gates_iff_behind_deep(capsys, tmp_path):
+def test_reduce_f_iff_runs_under_guard(capsys, tmp_path):
     tc = tmp_path / "tc.txt"
     tc.write_text("2 1 1\n0\n")
     code, out, _ = run(capsys, ["reduce", "--testcover", str(tc), "--sep", "F", "--verify"])
     assert code == 0
-    assert json.loads(out)["iff_agrees"] is None
+    payload = json.loads(out)
+    assert payload["n"] == 35 and payload["iff_agrees"] is True
+    code, _, err = run(
+        capsys, ["reduce", "--testcover", str(tc), "--sep", "F", "--verify", "--guard", "34"]
+    )
+    assert code == 1 and "over the exact-solve guard 34" in err
     code, out, _ = run(
-        capsys, ["reduce", "--testcover", str(tc), "--sep", "F", "--verify", "--deep"]
+        capsys, ["reduce", "--testcover", str(tc), "--sep", "F", "--verify", "--guard", "35"]
     )
     assert code == 0
     assert json.loads(out)["iff_agrees"] is True

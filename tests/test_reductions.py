@@ -75,9 +75,12 @@ def test_reduction_rejects_degenerate():
         build_reduction(inst(2, [{0}], 0), "I")
     with pytest.raises(ValueError):
         build_reduction(inst(3, [{0, 1}], 1), "I")
-    # a single item needs nothing split; zero budget is then fine
+    # a single item needs nothing split; zero budget is then fine, except
+    # for L, whose forward set exceeds k = 3 at budget 0 on this YES instance
     one = TestCoverInstance.of(1, [], 0)
     assert build_reduction(one, "I").graph.n == 1 + 0 + 6
+    with pytest.raises(ValueError, match="budget of at least 1"):
+        build_reduction(one, "L")
 
 
 def test_o_reduction_is_complement_of_i():

@@ -1,13 +1,20 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcodes.graphs import Graph, detect_twins, make_family
+from sepcodes.graphs import (
+    Graph,
+    closed_neighborhood,
+    detect_twins,
+    make_family,
+    open_neighborhood,
+)
 from sepcodes.hypergraphs import covering_number, reduce_to_clutter
 from sepcodes.kinds import ALL_KINDS, CODE_KINDS, SEPARATION_KINDS, split_code_kind
 from sepcodes.separation import (
     code_hypergraph,
-    delta_families,
     is_s_set,
     is_x_code,
     number,
@@ -49,33 +56,51 @@ def test_kind_taxonomy():
 
 def test_delta_p4():
     # adjacent vertices always lie in each other's open-neighborhood
-    # difference, so the edge (1,2) contributes the full vertex set here
-    fams = delta_families(make_family("path", 4))
-    entries = dict(fams.adj_open)
-    assert entries[(1, 2)] == {0, 1, 2, 3}
-    closed = dict(fams.adj_closed)
-    assert closed[(1, 2)] == {0, 3}
+    # difference, so the edge (1,2) contributes the full vertex set to O
+    # (open for adjacent pairs) and {0,3} to I (closed for adjacent pairs)
+    g = make_family("path", 4)
+    assert {0, 1, 2, 3} in separation_hypergraph(g, "O").edges
+    assert {0, 3} in separation_hypergraph(g, "I").edges
 
 
 def test_delta_thin_spider_identities():
+    # clique pairs are adjacent (closed differences: I and F); leaf pairs are
+    # non-adjacent (open differences: O and F)
     k = 4
-    fams = delta_families(make_family("thin_spider", k))
-    closed = dict(fams.adj_closed)
-    open_na = dict(fams.nonadj_open)
+    g = make_family("thin_spider", k)
+    closed_adj = set(separation_hypergraph(g, "I").edges)
+    open_non = set(separation_hypergraph(g, "O").edges)
+    full = set(separation_hypergraph(g, "F").edges)
     for i in range(k):
         for j in range(i + 1, k):
-            assert closed[(i, j)] == {k + i, k + j}
-            assert open_na[(k + i, k + j)] == {i, j}
+            assert {k + i, k + j} in closed_adj & full
+            assert {i, j} in open_non & full
 
 
 def test_separation_hypergraph_recipes():
-    g = make_family("path", 4)
-    fams = delta_families(g)
-    adj_open = {e for _, e in fams.adj_open}
-    nonadj_closed = {e for _, e in fams.nonadj_closed}
-    hl = separation_hypergraph(g, "L")
-    assert set(hl.edges) == adj_open | nonadj_closed
-    assert all(e for e in separation_hypergraph(g, "I").edges)
+    # adjacent pairs first, then non-adjacent ones, each in pair order; a
+    # code kind appends the domination neighborhoods in vertex order
+    nbhd = {"open": open_neighborhood, "closed": closed_neighborhood}
+    recipes = {"L": ("open", "closed"), "O": ("open", "open"),
+               "I": ("closed", "closed"), "F": ("closed", "open")}
+    for s, g in itertools.product(
+        SEPARATION_KINDS, (make_family("path", 4), make_family("thin_spider", 4))
+    ):
+        adj_kind, non_kind = recipes[s]
+        pairs = list(itertools.combinations(range(g.n), 2))
+
+        def diff(kind, u, v):
+            return nbhd[kind](g, u) ^ nbhd[kind](g, v)
+
+        expected = [diff(adj_kind, u, v) for u, v in pairs if g.has_edge(u, v)]
+        expected += [diff(non_kind, u, v) for u, v in pairs if not g.has_edge(u, v)]
+        h = separation_hypergraph(g, s)
+        assert list(h.edges) == expected, s
+        assert h == code_hypergraph(g, s)
+        for dom, kind in (("D", "closed"), ("TD", "open")):
+            dom_edges = tuple(nbhd[kind](g, v) for v in range(g.n))
+            assert code_hypergraph(g, s + dom).edges == h.edges + dom_edges, s + dom
+    assert all(e for e in separation_hypergraph(make_family("path", 4), "I").edges)
 
 
 def test_open_twins_give_empty_edge():
