@@ -198,9 +198,7 @@ def cmd_reduce(args) -> int:
 def cmd_dump(args) -> int:
     g = _load_graph(args.graph)
     if args.kind is None:
-        args.kind = args.sep
-    if args.kind is None:
-        raise InputError("dump needs --kind (or --sep for a separation kind)")
+        raise InputError("dump needs --kind")
     if args.kind not in ALL_KINDS:
         raise InputError("unknown kind %r" % args.kind)
     h = code_hypergraph(g, args.kind)
@@ -222,6 +220,7 @@ def cmd_spiders(args) -> int:
     forms = spider_closed_forms(args.k)
     payload = {"command": "spiders", "k": args.k, "closed_forms": forms}
     if args.check:
+        _check_guard(2 * args.k, _guard(args))  # both spiders have 2k vertices
         report = check_spider_formulas(args.k)
         payload["check"] = report.as_dict()
         _emit(payload, args.pretty)
@@ -238,20 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+
+    def solving(p):  # verbs that solve exactly take the guard
+        common(p)
         p.add_argument("--guard", type=int, default=None,
                        help="max graph size for exact solving (default 40; env SEPCODES_GUARD)")
 
     p = sub.add_parser("compute", help="compute one separation or code number")
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", required=True)
-    common(p)
+    solving(p)
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("verify", help="run theorem checks on a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--theorems", default=None,
                    help="comma list from 3,4,5,7,cor2,fig2,eq1,eq2,eq4,sep (default all)")
-    common(p)
+    solving(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("families", help="emit a named family graph")
@@ -267,13 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true",
                    help="check the forward construction and the exact iff")
-    common(p)
+    solving(p)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("dump", help="dump the (clutter of the) hypergraph for a kind")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", default=None, help="separation or code kind")
-    p.add_argument("--sep", default=None, help="alias for --kind, separation kinds")
+    p.add_argument("--kind", default=None, help="separation or code kind (required)")
     p.add_argument("--raw", action="store_true", help="dump without clutter reduction")
     p.add_argument("--out", default=None)
     common(p)
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spiders", help="spider closed forms, optionally checked against the solver")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--check", action="store_true")
-    common(p)
+    solving(p)
     p.set_defaults(fn=cmd_spiders)
     return ap
 

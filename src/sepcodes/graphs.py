@@ -69,9 +69,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def vertices(self):
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -111,10 +108,6 @@ class AdmissibilityReport:
     open_twins: tuple[tuple[int, int], ...]
     closed_twins: tuple[tuple[int, int], ...]
     admissible: dict = field(default_factory=dict)
-
-    @property
-    def has_isolated(self) -> bool:
-        return bool(self.isolated)
 
     @property
     def twin_free(self) -> bool:

@@ -105,10 +105,6 @@ def format_hypergraph(h: Hypergraph) -> str:
 # Exact solver.
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits(x: int):
     while x:
         b = x & -x
@@ -137,6 +133,34 @@ def _matching_lower_bound(masks, chosen: int, banned: int) -> int:
     return count
 
 
+def _propagate(masks, chosen: int, banned: int, size: int, best: int):
+    """Unit propagation: add the one available vertex of every uncovered
+    edge that has only one, until none is forced.  Returns (chosen, size,
+    pending), where pending is the first smallest uncovered edge (None when
+    every edge is covered), or None when some uncovered edge has no
+    available vertex or size reaches best."""
+    while True:
+        forced = 0
+        pending = None
+        for m in masks:
+            if m & chosen:
+                continue
+            avail = m & ~banned
+            na = avail.bit_count()
+            if na == 0:
+                return None
+            if na == 1:
+                forced |= avail
+            elif pending is None or na < (pending & ~banned).bit_count():
+                pending = m
+        if not forced:
+            return chosen, size, pending
+        chosen |= forced
+        size += forced.bit_count()
+        if size >= best:
+            return None
+
+
 def _solve_tau(masks, nverts: int, cap: int | None = None) -> int:
     """Minimum hitting-set size via DFS branch and bound.
 
@@ -144,6 +168,9 @@ def _solve_tau(masks, nverts: int, cap: int | None = None) -> int:
     matching bound and propagates forced vertices (uncovered edges with a
     single available vertex).  With `cap` set, any answer above cap is
     reported as cap+1, which turns the search into a fast decision procedure.
+    The DFS keeps an explicit stack, so its depth is not bounded by Python's
+    recursion limit; nodes pop in the order a recursive search visits them,
+    and each reads the incumbent when it is popped.
     """
     best = nverts + 1
     if cap is not None:
@@ -160,44 +187,25 @@ def _solve_tau(masks, nverts: int, cap: int | None = None) -> int:
         v = max(counts, key=lambda x: (counts[x], -x))
         chosen |= 1 << v
         work = [m for m in work if not (m & chosen)]
-    best = min(best, _popcount(chosen))
+    best = min(best, chosen.bit_count())
 
-    def dfs(chosen: int, banned: int, size: int):
-        nonlocal best
-        # unit propagation
-        while True:
-            forced = 0
-            pending = None
-            for m in masks:
-                if m & chosen:
-                    continue
-                avail = m & ~banned
-                na = _popcount(avail)
-                if na == 0:
-                    return
-                if na == 1:
-                    forced |= avail
-                elif pending is None or na < _popcount(pending & ~banned):
-                    pending = m
-            if forced:
-                chosen |= forced
-                size += _popcount(forced)
-                if size >= best:
-                    return
-                continue
-            break
+    stack = [(0, 0, 0)]  # (chosen, banned, size)
+    while stack:
+        chosen, banned, size = stack.pop()
+        node = _propagate(masks, chosen, banned, size, best)
+        if node is None:
+            continue
+        chosen, size, pending = node
         if pending is None:
             best = min(best, size)
-            return
-        lb = _matching_lower_bound(masks, chosen, banned)
-        if size + lb >= best:
-            return
-        tried = 0
-        for v in _bits(pending & ~banned):
-            dfs(chosen | (1 << v), banned | tried, size + 1)
-            tried |= 1 << v
-
-    dfs(0, 0, 0)
+            continue
+        if size + _matching_lower_bound(masks, chosen, banned) >= best:
+            continue
+        # branch on each available vertex of pending, banning the ones
+        # before it; pushed in reverse, the children pop in ascending order
+        avail = pending & ~banned
+        for v in reversed(list(_bits(avail))):
+            stack.append((chosen | (1 << v), banned | (avail & ((1 << v) - 1)), size + 1))
     return best
 
 

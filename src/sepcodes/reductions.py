@@ -7,6 +7,11 @@ closed-separation graph.  Everything here is finite and checkable: the
 constructions, the per-gadget lower bounds, the explicit YES-side sets,
 and the full iff on instances small enough to solve exactly.
 
+Each reduction places one fixed gadget per test and one base gadget U.
+The gadgets are rows of the table `_GADGETS`: edges, attachment labels
+and the forward set's picks.  For I and F the lower-bound counts (p, q)
+follow from those picks; L has its own formulas for k and the bound.
+
 Vertex layout order inside an artifact is fixed (base set M, then R, then
 the test vertices W, then one gadget block per test in input order, then
 the final gadget) so region bookkeeping is testable.
@@ -39,9 +44,24 @@ __all__ = [
     "REDUCTION_PARAMS",
 ]
 
-# (r, p, q) per separation kind; for L the entries depend on the budget:
-# r = budget+1 and q = 2*budget+3.
-REDUCTION_PARAMS = {"I": (1, 4, 3), "F": (1, 12, 11), "L": (None, 2, None)}
+# The fixed gadget of each reduction, in its own labels b1..bn (n is the
+# largest label).  A row gives the gadget's edges as label paths, its
+# attachment labels B (joined to the test vertex of a per-test gadget, and
+# to every vertex of M in the base gadget U), and the labels the forward
+# set takes in every per-test gadget and in U.
+_GADGETS = {
+    # path b1-...-b6, attached at b3
+    "I": ([(1, 2, 3, 4, 5, 6)], (3,), (2, 3, 4, 5), (3, 4, 5)),
+    # path b14-b1-...-b8-b15 with length-3 branches at b4 and b5, attached at b5
+    "F": ([(14, 1, 2, 3, 4, 5, 6, 7, 8, 15), (4, 9, 10, 13), (5, 11, 12, 16)], (5,),
+          tuple(range(1, 13)), tuple(j for j in range(1, 13) if j != 8)),
+    # triangle b1-b2-b3 with pendant b4 at b3, attached at b1 and b2
+    "L": ([(1, 2, 3, 1), (3, 4)], (1, 2), (1, 3), (1, 3)),
+}
+
+# (p, q) of the I and F reductions: every S-set takes at least p vertices
+# of each per-test gadget and q of U, as many as the forward set takes.
+REDUCTION_PARAMS = {s: (len(_GADGETS[s][2]), len(_GADGETS[s][3])) for s in ("I", "F")}
 
 
 @dataclass(frozen=True)
@@ -96,34 +116,13 @@ def solve_test_cover(inst: TestCoverInstance) -> CoverResult:
 
 
 def build_gadget(s: str) -> tuple[Graph, frozenset[int]]:
-    """The fixed per-test gadget (H, B) with its designated attachment
-    vertices B, using the local labels b1, b2, ..."""
-    if s == "I":
-        # path b1-...-b6, attach at b3
-        g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
-        return g, frozenset({2})
-    if s == "F":
-        # long path b14-b1-...-b8-b15 with two length-3 branches at b4, b5
-        labels = ["b14", "b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b15",
-                  "b9", "b10", "b13", "b11", "b12", "b16"]
-        idx = {lab: i for i, lab in enumerate(labels)}
-        edge_labels = [
-            ("b14", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "b4"), ("b4", "b5"),
-            ("b5", "b6"), ("b6", "b7"), ("b7", "b8"), ("b8", "b15"),
-            ("b4", "b9"), ("b9", "b10"), ("b10", "b13"),
-            ("b5", "b11"), ("b11", "b12"), ("b12", "b16"),
-        ]
-        g = Graph.from_edges(16, [(idx[a], idx[b]) for a, b in edge_labels])
-        # re-label so vertex i is b_{i+1}
-        order = sorted(range(16), key=lambda i: int(labels[i][1:]))
-        rank = {old: new for new, old in enumerate(order)}
-        g = Graph.from_edges(16, [(rank[u], rank[v]) for u, v in g.edges()])
-        return g, frozenset({4})
-    if s == "L":
-        # triangle b1-b2-b3 with pendant b4 at b3, attach at b1 and b2
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        return g, frozenset({0, 1})
-    raise ValueError("no gadget for separation kind %r" % s)
+    """The fixed per-test gadget (H, B) of the I, F or L reduction, with
+    its attachment vertices B, as the `_GADGETS` row lists it."""
+    if s not in _GADGETS:
+        raise ValueError("no gadget for separation kind %r" % s)
+    paths, attach = _GADGETS[s][:2]
+    edges = [(a - 1, b - 1) for path in paths for a, b in zip(path, path[1:])]
+    return Graph.from_edges(max(map(max, paths)), edges), frozenset(b - 1 for b in attach)
 
 
 @dataclass(frozen=True)
@@ -156,115 +155,84 @@ def _check_instance(inst: TestCoverInstance):
 def build_reduction(inst: TestCoverInstance, s: str) -> ReductionArtifact:
     """Construct the graph G_s and target k for the given instance.
 
-    For s = O the closed-separation graph is built and complemented; the
-    region map and k carry over unchanged.
+    The regions M, R and W come first, numbered from 0; then one copy of
+    the gadget per test, attached to that test's vertex, and the base
+    gadget U, attached to every vertex of M.  For s = O the
+    closed-separation graph is built and complemented; the region map and
+    k carry over unchanged.
     """
     _check_instance(inst)
     if s == "O":
         art = build_reduction(inst, "I")
         return ReductionArtifact("O", inst, complement(art.graph), art.k,
                                  art.labels, art.regions)
-    if s in ("I", "F"):
-        return _build_clique_based(inst, s)
-    if s == "L":
+    if s in REDUCTION_PARAMS:
+        edges, labels, regions, k = _clique_regions(inst, s)
+    elif s == "L":
         if inst.budget == 0:
             raise ValueError("the L reduction needs a budget of at least 1 "
                              "(at budget 0 its forward set exceeds k)")
-        return _build_locating(inst)
-    raise ValueError("no reduction for separation kind %r" % s)
+        edges, labels, regions, k = _locating_regions(inst)
+    else:
+        raise ValueError("no reduction for separation kind %r" % s)
+    gadget = build_gadget(s)
+    nxt = len(labels)  # every vertex of M, R and W has one label
+    for i, w in enumerate(regions["W"]):
+        nxt = _place_gadget(gadget, edges, labels, regions, nxt, "T%d" % i, [w])
+    nxt = _place_gadget(gadget, edges, labels, regions, nxt, "U", regions["M"])
+    return ReductionArtifact(s, inst, Graph.from_edges(nxt, edges), k, labels, regions)
 
 
-def _place_gadget(s: str, edges, labels, start: int, tag: str) -> tuple[int, list[int]]:
-    gadget, _ = build_gadget(s)
-    block = list(range(start, start + gadget.n))
-    for u, v in gadget.edges():
-        edges.append((start + u, start + v))
-    for j in range(gadget.n):
+def _place_gadget(gadget, edges, labels, regions, start: int, tag: str, anchors) -> int:
+    """Lay out one block of the gadget (H, B) from `start`, label it
+    b<j>(<tag>), record it as region gadget:<tag> and join each anchor to
+    the block's B.  Returns the first vertex after the block."""
+    h, attach = gadget
+    edges += [(start + u, start + v) for u, v in h.edges()]
+    edges += [(a, start + b) for a in anchors for b in attach]
+    for j in range(h.n):
         labels["b%d(%s)" % (j + 1, tag)] = start + j
-    return start + gadget.n, block
+    regions["gadget:" + tag] = tuple(range(start, start + h.n))
+    return start + h.n
 
 
-def _build_clique_based(inst: TestCoverInstance, s: str) -> ReductionArtifact:
+def _clique_regions(inst: TestCoverInstance, s: str):
+    """M: the items as a clique; R: empty; W: one vertex per test, joined
+    to its items.  k = budget + p*|tests| + q."""
     z, tests = inst.num_items, inst.tests
-    _, p, q = REDUCTION_PARAMS[s]
-    attach = 2 if s == "I" else 4  # local index of b3 resp. b5
-    labels = {}
-    edges = []
-    m_block = list(range(z))
-    for u in range(z):
-        labels["v(u%d)" % u] = u
-    edges += list(itertools.combinations(m_block, 2))  # base set is a clique
-    w_block = list(range(z, z + len(tests)))
-    for i, t in enumerate(tests):
-        labels["w(T%d)" % i] = w_block[i]
-        for u in sorted(t):
-            edges.append((u, w_block[i]))
-    nxt = z + len(tests)
-    regions = {"M": tuple(m_block), "R": (), "W": tuple(w_block)}
-    for i in range(len(tests)):
-        nxt, block = _place_gadget(s, edges, labels, nxt, "T%d" % i)
-        edges.append((w_block[i], block[attach]))
-        regions["gadget:T%d" % i] = tuple(block)
-    nxt, block = _place_gadget(s, edges, labels, nxt, "U")
-    for u in m_block:
-        edges.append((u, block[attach]))
-    regions["gadget:U"] = tuple(block)
-    k = inst.budget + p * len(tests) + q
-    graph = Graph.from_edges(nxt, edges)
-    return ReductionArtifact(s, inst, graph, k, labels, regions)
+    p, q = REDUCTION_PARAMS[s]
+    labels = {"v(u%d)" % u: u for u in range(z)}
+    labels.update(("w(T%d)" % i, z + i) for i in range(len(tests)))
+    edges = list(itertools.combinations(range(z), 2))
+    edges += [(u, z + i) for i, t in enumerate(tests) for u in sorted(t)]
+    regions = {"M": tuple(range(z)), "R": (), "W": tuple(range(z, z + len(tests)))}
+    return edges, labels, regions, inst.budget + p * len(tests) + q
 
 
-def _build_locating(inst: TestCoverInstance) -> ReductionArtifact:
+def _locating_regions(inst: TestCoverInstance):
+    """M: r = budget+1 copies of the items, copy-major, independent; R:
+    two closed-twin pairs per copy, each joined to that copy's row; W: one
+    vertex per test, joined to every copy of its items.
+    k = 3*budget + 2*|tests| + 3."""
     z, tests, ell = inst.num_items, inst.tests, inst.budget
     r = ell + 1
-    labels = {}
+    labels = {"v%d(u%d)" % (i + 1, u): i * z + u for i in range(r) for u in range(z)}
     edges = []
-    # M: r copies of each item, laid out copy-major; independent set
-    m_block = []
-    for i in range(r):
-        for u in range(z):
-            v = i * z + u
-            labels["v%d(u%d)" % (i + 1, u)] = v
-            m_block.append(v)
     nxt = r * z
-    # R: two closed-twin pairs per copy, each joined to that copy's row
-    r_block = []
     for i in range(r):
-        row = [i * z + u for u in range(z)]
         for pair in (1, 3):
             a, b = nxt, nxt + 1
             labels["r%d_%d" % (i + 1, pair)] = a
             labels["r%d_%d" % (i + 1, pair + 1)] = b
             edges.append((a, b))
-            for v in row:
-                edges.append((v, a))
-                edges.append((v, b))
-            r_block += [a, b]
+            edges += [(i * z + u, x) for u in range(z) for x in (a, b)]
             nxt += 2
-    # W: test vertices joined to every copy of their items
-    w_block = []
     for i, t in enumerate(tests):
-        w = nxt
-        labels["w(T%d)" % i] = w
-        for copy in range(r):
-            for u in sorted(t):
-                edges.append((copy * z + u, w))
-        w_block.append(w)
-        nxt += 1
-    regions = {"M": tuple(m_block), "R": tuple(r_block), "W": tuple(w_block)}
-    for i in range(len(tests)):
-        nxt, block = _place_gadget("L", edges, labels, nxt, "T%d" % i)
-        edges.append((w_block[i], block[0]))
-        edges.append((w_block[i], block[1]))
-        regions["gadget:T%d" % i] = tuple(block)
-    nxt, block = _place_gadget("L", edges, labels, nxt, "U")
-    for v in m_block:
-        edges.append((v, block[0]))
-        edges.append((v, block[1]))
-    regions["gadget:U"] = tuple(block)
-    k = 3 * ell + 2 * len(tests) + 3
-    graph = Graph.from_edges(nxt, edges)
-    return ReductionArtifact("L", inst, graph, k, labels, regions)
+        labels["w(T%d)" % i] = nxt + i
+        edges += [(c * z + u, nxt + i) for c in range(r) for u in sorted(t)]
+    regions = {"M": tuple(range(r * z)), "R": tuple(range(r * z, nxt)),
+               "W": tuple(range(nxt, nxt + len(tests)))}
+    return edges, labels, regions, 3 * ell + 2 * len(tests) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -279,48 +247,34 @@ def forward_s_set(art: ReductionArtifact, chosen_tests) -> frozenset[int]:
     the budget does not exceed the number of tests) and is an S-set of the
     artifact's graph whenever the sub-collection splits every item pair.
 
-    For I and O: w of every chosen test, the four middle path vertices of
-    every per-test gadget, and three consecutive interior vertices of the
-    base gadget.  The base picks start at b3 when every item lies in some
-    chosen test; otherwise they start at b2, since the one test-free item
-    would share its trace {b3(U)} with b2(U).
+    It holds w of every chosen test and the picks `_GADGETS` lists for
+    every per-test gadget and for U, with two adjustments:
 
-    For L: one vertex of each closed-twin pair of R, w of every chosen
-    test, b1 and b3 of every gadget, except that b3 is dropped in the
-    gadget of one chosen test (its pendant is then the single vertex with
-    an empty trace, which locating tolerates).
-
-    For F: w of every chosen test, b1..b12 of every per-test gadget and
-    b1..b12 except b8 of the base gadget.
+    - I and O: the base picks start at b3 when every item lies in some
+      chosen test; otherwise they start at b2, since the one test-free item
+      would share its trace {b3(U)} with b2(U).
+    - L: one vertex of each closed-twin pair of R joins, and b3 is dropped
+      in the gadget of one chosen test (its pendant is then the single
+      vertex with an empty trace, which locating tolerates).
     """
-    labels = art.labels
+    kind = "I" if art.kind == "O" else art.kind
+    if kind not in _GADGETS:
+        raise ValueError("no forward construction for kind %r" % art.kind)
+    _, _, picks, base = _GADGETS[kind]
+    labels, inst = art.labels, art.instance
     chosen = sorted(set(chosen_tests))
-    tests = range(len(art.instance.tests))
     a = {labels["w(T%d)" % i] for i in chosen}
-    if art.kind in ("I", "O"):
-        for i in tests:
-            a.update(labels["b%d(T%d)" % (j, i)] for j in (2, 3, 4, 5))
-        covered = set()
-        for i in chosen:
-            covered |= art.instance.tests[i]
-        base = (3, 4, 5) if len(covered) == art.instance.num_items else (2, 3, 4)
-        a.update(labels["b%d(U)" % j] for j in base)
-    elif art.kind == "F":
-        for i in tests:
-            a.update(labels["b%d(T%d)" % (j, i)] for j in range(1, 13))
-        a.update(labels["b%d(U)" % j] for j in range(1, 13) if j != 8)
-    elif art.kind == "L":
-        a.add(labels["b1(U)"])
-        a.add(labels["b3(U)"])
-        for i in range(art.instance.budget + 1):
+    for i in range(len(inst.tests)):
+        a.update(labels["b%d(T%d)" % (j, i)] for j in picks)
+    if kind == "I" and len(set().union(*(inst.tests[i] for i in chosen))) < inst.num_items:
+        base = tuple(j - 1 for j in base)
+    a.update(labels["b%d(U)" % j] for j in base)
+    if kind == "L":
+        for i in range(inst.budget + 1):
             a.add(labels["r%d_1" % (i + 1)])
             a.add(labels["r%d_3" % (i + 1)])
-        for i in tests:
-            a.add(labels["b1(T%d)" % i])
-            if not (chosen and i == chosen[0]):
-                a.add(labels["b3(T%d)" % i])
-    else:
-        raise ValueError("no forward construction for kind %r" % art.kind)
+        if chosen:
+            a.discard(labels["b3(T%d)" % chosen[0]])
     return frozenset(a)
 
 
@@ -381,16 +335,18 @@ def tiny_instances(max_items: int = 4, max_tests: int = 4, max_budget: int = 2):
 
 def gadget_lower_bound(art: ReductionArtifact) -> tuple[frozenset[int], int]:
     """(region, bound): any S-set must contain at least `bound` vertices of
-    `region`."""
+    `region`.  For I, O and F the region is the gadgets and the bound is
+    p*|tests| + q; for L, R joins the region and the bound is
+    2*|tests| + 2*budget + 3."""
     y = len(art.instance.tests)
-    ell = art.instance.budget
-    if art.kind in ("I", "O"):
-        return art.gadget_region(), 4 * y + 3
-    if art.kind == "F":
-        return art.gadget_region(), 12 * y + 11
     if art.kind == "L":
-        return art.gadget_region() | frozenset(art.regions["R"]), 2 * y + 2 * ell + 3
-    raise ValueError("no lower-bound lemma for kind %r" % art.kind)
+        return (art.gadget_region() | frozenset(art.regions["R"]),
+                2 * y + 2 * art.instance.budget + 3)
+    kind = "I" if art.kind == "O" else art.kind
+    if kind not in REDUCTION_PARAMS:
+        raise ValueError("no lower-bound lemma for kind %r" % art.kind)
+    p, q = REDUCTION_PARAMS[kind]
+    return art.gadget_region(), p * y + q
 
 
 def check_gadget_lower_bound(art: ReductionArtifact, a: frozenset[int]) -> bool:

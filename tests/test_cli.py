@@ -177,7 +177,7 @@ def test_reduce_bad_instance(capsys, tmp_path):
 def test_dump_clutter(capsys, tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text(format_graph(make_family("path", 4)))
-    code, out, _ = run(capsys, ["dump", "--graph", str(path), "--sep", "O"])
+    code, out, _ = run(capsys, ["dump", "--graph", str(path), "--kind", "O"])
     assert code == 0
     lines = out.strip().splitlines()
     n, e = map(int, lines[0].split())
@@ -197,6 +197,8 @@ def test_spiders(capsys):
     assert payload["check"]["passed"]
     code, _, _ = run(capsys, ["spiders", "--k", "3"])
     assert code == 1
+    code, _, err = run(capsys, ["spiders", "--k", "5", "--check", "--guard", "9"])
+    assert code == 1 and "over the exact-solver guard 9" in err
 
 
 def test_spiders_k4_check_reports_failure(capsys, monkeypatch):

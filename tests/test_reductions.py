@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from sepcodes.graphs import complement
+from sepcodes.graphs import complement, format_graph
 from sepcodes.reductions import (
     REDUCTION_PARAMS,
     TestCoverInstance,
@@ -112,8 +114,33 @@ def test_forward_set_is_separating():
         assert len(fwd) <= art.k
 
 
+def test_reduction_layout_is_pinned():
+    # sha256 over every gadget and every reduction of tiny_instances() plus
+    # two one-item instances: graph, k, labels, regions, the forward set of
+    # padded_test_choice and the lower-bound region and bound.  A moved
+    # vertex or label changes it even where sizes and k stay the same.
+    h = hashlib.sha256()
+    for s in ("I", "F", "L"):
+        g, b = build_gadget(s)
+        h.update(repr((s, format_graph(g), sorted(b))).encode())
+    degenerate = [inst(1, [], 0), inst(1, [], 1)]
+    for i in list(tiny_instances()) + degenerate:
+        chosen = padded_test_choice(i)
+        for s in ("I", "O", "F", "L"):
+            if s == "L" and i.budget == 0:
+                continue
+            art = build_reduction(i, s)
+            region, bound = gadget_lower_bound(art)
+            row = (s, format_graph(art.graph), art.k, sorted(art.labels.items()),
+                   sorted(art.regions.items()), sorted(forward_s_set(art, chosen)),
+                   sorted(region), bound)
+            h.update(repr(row).encode())
+    assert h.hexdigest() == "fe60707dc08c6a5f0df4a89410a54cfba6f5371866b9fe29eb03ce543fb6b650"
+
+
 def test_forward_set_size_formula():
     i3 = inst(3, [{0}, {1}], 2)
+    assert REDUCTION_PARAMS == {"I": (4, 3), "F": (12, 11)}
     for s, p, q in (("I", 4, 3), ("F", 12, 11)):
         art = build_reduction(i3, s)
         fwd = forward_s_set(art, padded_test_choice(i3))

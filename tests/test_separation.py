@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -246,3 +247,19 @@ def test_long_path_domination_needs_no_deep_recursion():
     res = number(g, "D")
     assert res.feasible and res.tau == 367
     assert is_x_code(g, "D", res.witness)
+
+
+def test_tau_search_depth_is_not_bounded_by_the_recursion_limit():
+    # D on P900 branches about 300 levels deep; 200 frames of headroom above
+    # the caller are too few for a search that recurses once per branching
+    g = make_family("path", 900)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        res = number(g, "D")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.feasible and res.tau == 300
