@@ -10,11 +10,11 @@ Run: PYTHONPATH=src python3 demos/complement_duality.py
 
 from sepcodes import (
     check_complement_duality,
+    code_hypergraph,
     complement,
     format_hypergraph,
     make_family,
     reduce_to_clutter,
-    separation_hypergraph,
 )
 
 GRAPHS = [
@@ -33,6 +33,6 @@ if __name__ == "__main__":
     print()
     g = make_family("path", 4)
     print("clutter of the closed-separation hypergraph of P4:")
-    print(format_hypergraph(reduce_to_clutter(separation_hypergraph(g, "I"))))
+    print(format_hypergraph(reduce_to_clutter(code_hypergraph(g, "I"))))
     print("clutter of the open-separation hypergraph of its complement:")
-    print(format_hypergraph(reduce_to_clutter(separation_hypergraph(complement(g), "O"))))
+    print(format_hypergraph(reduce_to_clutter(code_hypergraph(complement(g), "O"))))

@@ -14,7 +14,7 @@ from sepcodes import (
     build_reduction,
     check_gadget_lower_bound,
     forward_s_set,
-    is_s_set,
+    is_x_code,
     padded_test_choice,
     solve_test_cover,
     verify_reduction_iff,
@@ -32,6 +32,6 @@ if __name__ == "__main__":
         fwd = forward_s_set(art, padded_test_choice(inst))
         print("%s-reduction: n=%d, k=%d" % (s, art.graph.n, art.k))
         print("  forward set size %d, separating=%s, meets region bound=%s"
-              % (len(fwd), is_s_set(art.graph, s, fwd),
+              % (len(fwd), is_x_code(art.graph, s, fwd),
                  check_gadget_lower_bound(art, fwd)))
         print("  exact iff agreement: %s" % verify_reduction_iff(inst, s))

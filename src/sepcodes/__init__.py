@@ -49,26 +49,15 @@ from .reductions import (
     validate_test_cover,
     verify_reduction_iff,
 )
-from .separation import (
-    code_hypergraph,
-    is_s_set,
-    is_x_code,
-    number,
-    s_number,
-    s_number_at_most,
-    s_number_bruteforce,
-    separation_hypergraph,
-    x_number,
-    x_number_bruteforce,
-)
+from .separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 from .theorems import (
     TheoremReport,
     all_numbers,
     augment_to_sd_code,
     augment_to_std_code_li,
     augment_to_std_code_of,
-    check_bound_theorems,
     check_complement_duality,
+    check_inequalities,
     check_gap_corollary,
     check_spider_formulas,
     spider_closed_forms,

@@ -2,15 +2,14 @@
 
 Verbs: compute, verify, families, reduce, dump, spiders.  All results are
 JSON on stdout with sorted keys (so identical inputs give byte-identical
-output); diagnostics go to stderr.  Exit codes: 0 success, 1 input error,
-2 infeasible or failed check.
+output); diagnostics go to stderr.  Exit codes: 0 success, 1 input or
+usage error, 2 infeasible or failed check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -32,7 +31,7 @@ from .reductions import (
     parse_test_cover,
     verify_reduction_iff,
 )
-from .separation import code_hypergraph, is_s_set, number
+from .separation import code_hypergraph, is_x_code, number
 from .theorems import check_spider_formulas, check_theorem, spider_closed_forms
 
 DEFAULT_GUARD = 40
@@ -63,22 +62,6 @@ def _load_graph(path: str):
         raise InputError("%s: %s" % (path, exc))
 
 
-def _guard(args) -> int:
-    env = os.environ.get("SEPCODES_GUARD")
-    if args.guard is not None:
-        guard, source = args.guard, "--guard"
-    elif env:
-        try:
-            guard, source = int(env), "SEPCODES_GUARD"
-        except ValueError:
-            raise InputError("SEPCODES_GUARD must be an integer, got %r" % env)
-    else:
-        return DEFAULT_GUARD
-    if guard < 0:
-        raise InputError("%s must be a nonnegative vertex count, got %d" % (source, guard))
-    return guard
-
-
 def _write_out(path: str, text: str):
     try:
         with open(path, "w") as fh:
@@ -88,18 +71,18 @@ def _write_out(path: str, text: str):
 
 
 def _check_guard(n: int, guard: int):
+    if guard < 0:
+        raise InputError("--guard must be a nonnegative vertex count, got %d" % guard)
     if n > guard:
         raise InputError(
             "graph has %d vertices, over the exact-solver guard %d "
-            "(raise with --guard or SEPCODES_GUARD)" % (n, guard)
+            "(raise with --guard)" % (n, guard)
         )
 
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    if args.kind not in ALL_KINDS:
-        raise InputError("unknown kind %r" % args.kind)
-    _check_guard(g.n, _guard(args))
+    _check_guard(g.n, args.guard)
     res = number(g, args.kind)
     payload = {"command": "compute", "kind": args.kind}
     payload.update(res.as_dict())
@@ -122,7 +105,7 @@ _CHECKS = {"3": "thm3+thm4+thm5", "4": "thm3+thm4+thm5", "5": "thm3+thm4+thm5",
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    _check_guard(g.n, _guard(args))
+    _check_guard(g.n, args.guard)
     wanted = args.theorems.split(",") if args.theorems else sorted(set(_CHECKS))
     for name in wanted:
         if name not in _CHECKS:
@@ -138,8 +121,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_families(args) -> int:
-    if args.name not in FAMILY_NAMES:
-        raise InputError("unknown family %r (choose from %s)" % (args.name, ", ".join(FAMILY_NAMES)))
     try:
         g = make_family(args.name, args.k)
     except ValueError as exc:
@@ -160,8 +141,6 @@ def cmd_reduce(args) -> int:
             inst = parse_test_cover(fh.read())
     except (OSError, ValueError) as exc:
         raise InputError(str(exc))
-    if args.sep not in ("I", "O", "F", "L"):
-        raise InputError("separation kind must be one of I, O, F, L")
     try:
         art = build_reduction(inst, args.sep)
     except ValueError as exc:
@@ -180,15 +159,13 @@ def cmd_reduce(args) -> int:
     if args.out:
         _write_out(args.out, format_graph(art.graph))
     if args.verify:
+        _check_guard(art.graph.n, args.guard)
         chosen = padded_test_choice(inst)
         forward = forward_s_set(art, chosen)
         payload["forward_size"] = len(forward)
-        payload["forward_is_s_set"] = is_s_set(art.graph, args.sep, forward)
+        payload["forward_is_s_set"] = is_x_code(art.graph, args.sep, forward)
         payload["forward_meets_lemma_bound"] = check_gadget_lower_bound(art, forward)
-        try:
-            payload["iff_agrees"] = verify_reduction_iff(inst, args.sep, guard=_guard(args))
-        except ValueError as exc:
-            raise InputError(str(exc))
+        payload["iff_agrees"] = verify_reduction_iff(inst, args.sep)
     _emit(payload, args.pretty)
     if payload.get("iff_agrees") is False:
         return EXIT_INFEASIBLE
@@ -197,10 +174,6 @@ def cmd_reduce(args) -> int:
 
 def cmd_dump(args) -> int:
     g = _load_graph(args.graph)
-    if args.kind is None:
-        raise InputError("dump needs --kind")
-    if args.kind not in ALL_KINDS:
-        raise InputError("unknown kind %r" % args.kind)
     h = code_hypergraph(g, args.kind)
     if not args.raw:
         h = reduce_to_clutter(h)
@@ -220,7 +193,7 @@ def cmd_spiders(args) -> int:
     forms = spider_closed_forms(args.k)
     payload = {"command": "spiders", "k": args.k, "closed_forms": forms}
     if args.check:
-        _check_guard(2 * args.k, _guard(args))  # both spiders have 2k vertices
+        _check_guard(2 * args.k, args.guard)  # both spiders have 2k vertices
         report = check_spider_formulas(args.k)
         payload["check"] = report.as_dict()
         _emit(payload, args.pretty)
@@ -229,9 +202,17 @@ def cmd_spiders(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors; 2 means a negative
+    answer.  Subparsers inherit this class."""
+
+    def error(self, message):
+        raise InputError("%s%s: error: %s" % (self.format_usage(), self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="sepcodes",
-                                 description="Exact separation sets and identification codes in graphs.")
+    ap = _Parser(prog="sepcodes",
+                 description="Exact separation sets and identification codes in graphs.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -240,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solving(p):  # verbs that solve exactly take the guard
         common(p)
-        p.add_argument("--guard", type=int, default=None,
-                       help="max graph size for exact solving (default 40; env SEPCODES_GUARD)")
+        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                       help="max graph size for exact solving (default %d)" % DEFAULT_GUARD)
 
     p = sub.add_parser("compute", help="compute one separation or code number")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=ALL_KINDS)
     solving(p)
     p.set_defaults(fn=cmd_compute)
 
@@ -257,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("families", help="emit a named family graph")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, choices=FAMILY_NAMES)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
     common(p)
@@ -265,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="build a hardness-reduction graph from a test-cover file")
     p.add_argument("--testcover", required=True)
-    p.add_argument("--sep", required=True)
+    p.add_argument("--sep", required=True, choices=("I", "O", "F", "L"))
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true",
                    help="check the forward construction and the exact iff")
@@ -274,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump", help="dump the (clutter of the) hypergraph for a kind")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", default=None, help="separation or code kind (required)")
+    p.add_argument("--kind", required=True, choices=ALL_KINDS)
     p.add_argument("--raw", action="store_true", help="dump without clutter reduction")
     p.add_argument("--out", default=None)
     common(p)
@@ -289,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(str(exc), file=sys.stderr)

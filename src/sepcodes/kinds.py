@@ -7,6 +7,8 @@ separation kind with one domination kind; bare D and TD are also exposed.
 
 from __future__ import annotations
 
+__all__ = ["SEPARATION_KINDS", "DOMINATION_KINDS", "CODE_KINDS", "ALL_KINDS", "split_code_kind"]
+
 SEPARATION_KINDS = ("L", "O", "I", "F")
 DOMINATION_KINDS = ("D", "TD")
 CODE_KINDS = ("LD", "LTD", "OD", "OTD", "ID", "ITD", "FD", "FTD")

@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .graphs import Graph, complement
-from .hypergraphs import CoverResult, Hypergraph, covering_number
-from .separation import is_s_set, s_number, s_number_at_most
+from .hypergraphs import CoverResult, Hypergraph, covering_number, covering_number_at_most
+from .separation import code_hypergraph, is_x_code
 
 __all__ = [
     "TestCoverInstance",
@@ -351,28 +351,22 @@ def gadget_lower_bound(art: ReductionArtifact) -> tuple[frozenset[int], int]:
 
 def check_gadget_lower_bound(art: ReductionArtifact, a: frozenset[int]) -> bool:
     """True iff the S-set a meets the per-gadget region bound."""
-    if not is_s_set(art.graph, art.kind, frozenset(a)):
+    if not is_x_code(art.graph, art.kind, a):
         raise ValueError("input is not an %s-set of the reduction graph" % art.kind)
     region, bound = gadget_lower_bound(art)
     return len(frozenset(a) & region) >= bound
 
 
-def verify_reduction_iff(inst: TestCoverInstance, s: str, guard: int | None = None) -> bool:
+def verify_reduction_iff(inst: TestCoverInstance, s: str) -> bool:
     """Exactly solve both sides and report whether the answers agree.
 
     The Test-Cover side asks for a splitting sub-collection within budget;
-    the graph side asks for an S-set of size at most k.  A guard (max graph
-    size) can refuse instances too large for exact solving.
+    the graph side asks for an S-set of size at most k.
     """
     art = build_reduction(inst, s)
-    if guard is not None and art.graph.n > guard:
-        raise ValueError(
-            "reduction graph has %d vertices, over the exact-solve guard %d"
-            % (art.graph.n, guard)
-        )
     tc = solve_test_cover(inst)
     lhs = tc.feasible and tc.tau <= inst.budget
-    rhs = s_number_at_most(art.graph, s, art.k)
+    rhs = covering_number_at_most(code_hypergraph(art.graph, s), art.k)
     return lhs == rhs
 
 

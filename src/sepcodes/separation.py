@@ -1,13 +1,16 @@
-"""Separation and code hypergraphs, their covering numbers, and oracles.
+"""Code hypergraphs, their covering numbers, and definition-based oracles.
 
-Each separation property gives one hyperedge per vertex pair: the symmetric
-difference of the open or the closed neighborhoods of the two vertices.
-Which of the two is used depends only on the property and on whether the
-pair is adjacent (the recipe table below); domination adds the closed or
-open neighborhood of every vertex.  Two deliberately redundant routes are
-exposed: membership tests work from the neighborhood definitions, while the
-numbers are computed as covering numbers of these hypergraphs.  Their
-agreement is the executable form of the hypergraph characterization.
+Every kind (a separation property L, O, I or F, a domination property D or
+TD, or a code combining one of each) is handled by one path.  Separation
+gives one hyperedge per vertex pair: the symmetric difference of the open
+or the closed neighborhoods of the two vertices.  Which of the two is used
+depends only on the property and on whether the pair is adjacent (the
+recipe table below); domination adds the closed or open neighborhood of
+every vertex.  Two deliberately redundant routes are exposed: `is_x_code`
+works from the neighborhood definitions, while `number` computes the
+covering number of `code_hypergraph`.  Their agreement, checked by
+`x_number_bruteforce`, is the executable form of the hypergraph
+characterization.
 """
 
 from __future__ import annotations
@@ -15,20 +18,14 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, closed_neighborhood, open_neighborhood
-from .hypergraphs import CoverResult, Hypergraph, covering_number, covering_number_at_most
-from .kinds import SEPARATION_KINDS, split_code_kind
+from .hypergraphs import CoverResult, Hypergraph, covering_number
+from .kinds import split_code_kind
 
 __all__ = [
-    "separation_hypergraph",
     "code_hypergraph",
-    "is_s_set",
     "is_x_code",
-    "s_number",
-    "s_number_at_most",
-    "x_number",
-    "s_number_bruteforce",
-    "x_number_bruteforce",
     "number",
+    "x_number_bruteforce",
     "BRUTEFORCE_GRAPH_GUARD",
 ]
 
@@ -42,17 +39,6 @@ _SEP_RECIPE = {
     "I": ("closed", "closed"),
     "F": ("closed", "open"),
 }
-
-
-def separation_hypergraph(g: Graph, s: str) -> Hypergraph:
-    """Raw hypergraph whose covers are exactly the s-separating sets.
-
-    One hyperedge per vertex pair; clutter reduction happens inside the
-    solver so the construction stays auditable against the definitions.
-    """
-    if s not in SEPARATION_KINDS:
-        raise ValueError("unknown separation kind %r" % s)
-    return code_hypergraph(g, s)
 
 
 def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
@@ -81,15 +67,12 @@ def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
     return Hypergraph(g.n, tuple(edges))
 
 
-def is_s_set(g: Graph, s: str, c: frozenset[int]) -> bool:
-    """Definition-based membership test (not via hypergraphs).
+def _separates(g: Graph, s: str, c: frozenset[int]) -> bool:
+    """Whether c is s-separating, by the definition (not via hypergraphs).
 
     Intersections are compared by value; the empty set counts as a value, so
     two vertices both meeting c in the empty set violate separation.
     """
-    if s not in SEPARATION_KINDS:
-        raise ValueError("unknown separation kind %r" % s)
-    c = frozenset(c)
     if s in ("O", "F"):
         traces = [open_neighborhood(g, v) & c for v in range(g.n)]
         if len(set(traces)) != g.n:
@@ -112,32 +95,16 @@ def _dominates(g: Graph, dom: str, c: frozenset[int]) -> bool:
 
 
 def is_x_code(g: Graph, kind: str, c: frozenset[int]) -> bool:
-    """Definition check: domination condition plus separation condition."""
+    """Definition check: domination condition plus separation condition.
+
+    Accepts every kind, bare separation and bare domination included."""
     sep, dom = split_code_kind(kind)
     c = frozenset(c)
     if dom is not None and not _dominates(g, dom, c):
         return False
-    if sep is not None and not is_s_set(g, sep, c):
+    if sep is not None and not _separates(g, sep, c):
         return False
     return True
-
-
-def s_number(g: Graph, s: str) -> CoverResult:
-    """Minimum s-separating set via the covering reformulation.
-
-    Infeasible exactly when the graph has the corresponding twins.
-    """
-    return covering_number(separation_hypergraph(g, s))
-
-
-def s_number_at_most(g: Graph, s: str, budget: int) -> bool:
-    """Decide whether an s-separating set of size <= budget exists."""
-    return covering_number_at_most(separation_hypergraph(g, s), budget)
-
-
-def x_number(g: Graph, kind: str) -> CoverResult:
-    """Minimum code of the given kind via the covering reformulation."""
-    return covering_number(code_hypergraph(g, kind))
 
 
 def number(g: Graph, kind: str) -> CoverResult:
@@ -158,13 +125,8 @@ def _bruteforce_min(g: Graph, accept) -> CoverResult:
     return CoverResult(False, None, None)
 
 
-def s_number_bruteforce(g: Graph, s: str) -> CoverResult:
-    """Independent oracle: size-then-lex subset enumeration against the
-    neighborhood definitions.  Agreement with s_number on every input is the
-    executable proof of the hypergraph characterization."""
-    return _bruteforce_min(g, lambda c: is_s_set(g, s, c))
-
-
 def x_number_bruteforce(g: Graph, kind: str) -> CoverResult:
-    """Brute-force oracle for code numbers, same enumeration order."""
+    """Independent oracle for every kind: size-then-lex subset enumeration
+    against the neighborhood definitions.  Agreement with `number`, witness
+    included, is the executable proof of the hypergraph characterization."""
     return _bruteforce_min(g, lambda c: is_x_code(g, kind, c))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, complement, detect_twins, make_family
 from .hypergraphs import reduce_to_clutter
 from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS
-from .separation import is_s_set, number, separation_hypergraph
+from .separation import code_hypergraph, is_x_code, number
 
 __all__ = [
     "TheoremReport",
@@ -25,11 +25,6 @@ __all__ = [
     "COMPLEMENT_PAIRS",
     "check_inequalities",
     "check_theorem",
-    "check_bound_theorems",
-    "check_chain",
-    "check_domination_bounds",
-    "check_code_order",
-    "check_separation_order",
     "check_complement_duality",
     "check_gap_corollary",
     "spider_closed_forms",
@@ -91,8 +86,10 @@ def augment_to_sd_code(g: Graph, s: str, c: frozenset[int]) -> frozenset[int]:
     At most one vertex can have an empty closed neighborhood trace in c;
     adding it (if present) makes c dominating while separation is preserved.
     """
+    if s not in SEPARATION_KINDS:
+        raise ValueError("construction applies to separation kinds only")
     c = frozenset(c)
-    if not is_s_set(g, s, c):
+    if not is_x_code(g, s, c):
         raise ValueError("input is not an %s-set" % s)
     missing = _undominated_closed(g, c)
     assert len(missing) <= 1, "separation admits at most one undominated vertex"
@@ -110,7 +107,7 @@ def augment_to_std_code_of(g: Graph, s: str, c: frozenset[int]) -> frozenset[int
     if s not in ("O", "F"):
         raise ValueError("construction applies to O and F only")
     c = frozenset(c)
-    if not is_s_set(g, s, c):
+    if not is_x_code(g, s, c):
         raise ValueError("input is not an %s-set" % s)
     if any(not g.adj[v] for v in range(g.n)):
         raise ValueError("graph has an isolated vertex; no TD-set exists")
@@ -134,7 +131,7 @@ def augment_to_std_code_li(g: Graph, s: str, c: frozenset[int]) -> frozenset[int
     if s not in ("L", "I"):
         raise ValueError("construction applies to L and I only")
     c = frozenset(c)
-    if not is_s_set(g, s, c):
+    if not is_x_code(g, s, c):
         raise ValueError("input is not an %s-set" % s)
     if any(not g.adj[v] for v in range(g.n)):
         raise ValueError("graph has an isolated vertex; no TD-set exists")
@@ -223,32 +220,6 @@ def check_inequalities(g: Graph, theorem: str, numbers=None) -> TheoremReport:
     return report
 
 
-def check_chain(g: Graph, numbers=None) -> TheoremReport:
-    """gamma^S <= gamma^SD <= gamma^STD for each separation kind."""
-    return check_inequalities(g, "eq4", numbers)
-
-
-def check_domination_bounds(g: Graph, numbers=None) -> TheoremReport:
-    """gamma^D <= gamma^TD, and D/TD lower-bound the matching code numbers."""
-    return check_inequalities(g, "eq1+eq2", numbers)
-
-
-def check_code_order(g: Graph, numbers=None) -> TheoremReport:
-    """The partial order between the eight code numbers."""
-    return check_inequalities(g, "fig2", numbers)
-
-
-def check_separation_order(g: Graph, numbers=None) -> TheoremReport:
-    """gamma^L <= gamma^O, gamma^I and gamma^O, gamma^I <= gamma^F."""
-    return check_inequalities(g, "sep-order", numbers)
-
-
-def check_bound_theorems(g: Graph, numbers=None) -> TheoremReport:
-    """SD <= S+1; STD <= S+1 for O,F; STD <= 2S for L,I; and the
-    OD/OTD and FD/FTD gaps of at most one."""
-    return check_inequalities(g, "thm3+thm4+thm5", numbers)
-
-
 # ---------------------------------------------------------------------------
 # Complementation.
 
@@ -286,8 +257,8 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
 
     # clutter identities; these hold with no twin hypothesis
     for s, t, _ in COMPLEMENT_PAIRS:
-        lhs = set(reduce_to_clutter(separation_hypergraph(g, s)).edges)
-        rhs = set(reduce_to_clutter(separation_hypergraph(gc, t)).edges)
+        lhs = set(reduce_to_clutter(code_hypergraph(g, s)).edges)
+        rhs = set(reduce_to_clutter(code_hypergraph(gc, t)).edges)
         if lhs != rhs:
             report.fail(
                 g,

@@ -28,24 +28,13 @@ from sepcodes.reductions import (
     tiny_instances,
     verify_reduction_iff,
 )
-from sepcodes.separation import (
-    is_s_set,
-    is_x_code,
-    number,
-    s_number,
-    s_number_bruteforce,
-    separation_hypergraph,
-    x_number,
-)
+from sepcodes.separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 from sepcodes.theorems import (
     all_numbers,
     augment_to_sd_code,
     augment_to_std_code_li,
     augment_to_std_code_of,
-    check_bound_theorems,
-    check_chain,
-    check_code_order,
-    check_domination_bounds,
+    check_inequalities,
     spider_closed_forms,
 )
 
@@ -117,8 +106,8 @@ def crit4_report():
     discrepancies = []
     for g in graphs:
         for s in SEPARATION_KINDS:
-            a = s_number(g, s)
-            b = s_number_bruteforce(g, s)
+            a = number(g, s)
+            b = x_number_bruteforce(g, s)
             if (a.feasible, a.tau, a.witness) != (b.feasible, b.tau, b.witness):
                 discrepancies.append(
                     {"n": g.n, "edges": g.edges(), "kind": s,
@@ -132,9 +121,8 @@ def crit5_report():
     violations = []
     for g in random_graphs(SWEEP_COUNT, max_n=9, seed=CATALOG_SEED):
         nums = all_numbers(g)
-        for check in (check_domination_bounds, check_chain, check_code_order,
-                      check_bound_theorems):
-            rep = check(g, nums)
+        for theorem in ("eq1+eq2", "eq4", "fig2", "thm3+thm4+thm5"):
+            rep = check_inequalities(g, theorem, nums)
             if not rep.passed:
                 violations.append(_jsonable(rep.as_dict()))
     return {"criterion": 5, "graphs": SWEEP_COUNT, "violations": violations}
@@ -150,20 +138,20 @@ def crit6_report():
     graphs = _twin_free_n8()
     for g in graphs:
         gc = complement(g)
-        nums = {s: s_number(g, s) for s in SEPARATION_KINDS}
-        co = {s: s_number(gc, s) for s in SEPARATION_KINDS}
+        nums = {s: number(g, s) for s in SEPARATION_KINDS}
+        co = {s: number(gc, s) for s in SEPARATION_KINDS}
         for a, b in (("L", "L"), ("I", "O"), ("O", "I"), ("F", "F")):
             if not (nums[a].feasible and co[b].feasible and nums[a].tau == co[b].tau):
                 violations.append({"item": "%s(G)=%s(co-G)" % (a, b),
                                    "edges": g.edges()})
-            lhs = set(reduce_to_clutter(separation_hypergraph(g, a)).edges)
-            rhs = set(reduce_to_clutter(separation_hypergraph(gc, b)).edges)
+            lhs = set(reduce_to_clutter(code_hypergraph(g, a)).edges)
+            rhs = set(reduce_to_clutter(code_hypergraph(gc, b)).edges)
             if lhs != rhs:
                 violations.append({"item": "clutter:%s/%s" % (a, b),
                                    "edges": g.edges()})
         for a, b in (("LD", "LD"), ("ID", "OD"), ("OD", "ID"), ("FD", "FD"),
                      ("FTD", "FTD")):
-            lhs, rhs = x_number(g, a), x_number(gc, b)
+            lhs, rhs = number(g, a), number(gc, b)
             if lhs.feasible and rhs.feasible and abs(lhs.tau - rhs.tau) > 1:
                 violations.append({"item": "gap:%s/%s" % (a, b),
                                    "edges": g.edges()})
@@ -190,7 +178,7 @@ def _witness_stream():
             continue
         seen.add(key)
         for s in SEPARATION_KINDS:
-            res = s_number(g, s)
+            res = number(g, s)
             if res.feasible:
                 yield g, s, res.witness
 
@@ -232,7 +220,7 @@ def crit8_report():
         art = build_reduction(inst, "F")
         chosen = padded_test_choice(inst)
         fwd = forward_s_set(art, chosen)
-        if not is_s_set(art.graph, "F", fwd):
+        if not is_x_code(art.graph, "F", fwd):
             f_forward_bad.append({"items": inst.num_items,
                                   "tests": sorted(map(sorted, inst.tests)),
                                   "budget": inst.budget})
@@ -250,7 +238,7 @@ def crit8_report():
     for inst in tiny_instances(max_items=3, max_tests=3):
         for s in ("I", "O", "L"):
             art = build_reduction(inst, s)
-            res = s_number(art.graph, s)
+            res = number(art.graph, s)
             if res.feasible:
                 lemma_checked += 1
                 if not check_gadget_lower_bound(art, res.witness):
@@ -258,7 +246,7 @@ def crit8_report():
     for z, tests, ell in F_DEEP_INSTANCES:
         inst = TestCoverInstance.of(z, tests, ell)
         art = build_reduction(inst, "F")
-        res = s_number(art.graph, "F")
+        res = number(art.graph, "F")
         lemma_checked += 1
         if not check_gadget_lower_bound(art, res.witness):
             lemma_bad.append({"kind": "F", "items": z})

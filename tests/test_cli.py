@@ -60,20 +60,25 @@ def test_compute_parse_error_has_line(capsys, tmp_path):
     assert code == 1 and "line 2" in err
 
 
-def test_guard_flag_and_env(capsys, h4, monkeypatch):
+def test_guard_flag_and_env(capsys, h4):
     code, _, err = run(capsys, ["compute", "--graph", h4, "--kind", "L", "--guard", "4"])
     assert code == 1 and "guard" in err
-    monkeypatch.setenv("SEPCODES_GUARD", "4")
-    code, _, err = run(capsys, ["compute", "--graph", h4, "--kind", "L"])
-    assert code == 1 and "guard" in err
-    monkeypatch.setenv("SEPCODES_GUARD", "not-a-number")
-    code, _, err = run(capsys, ["compute", "--graph", h4, "--kind", "L"])
-    assert code == 1
     code, _, err = run(capsys, ["compute", "--graph", h4, "--kind", "L", "--guard", "-3"])
     assert code == 1 and "--guard must be a nonnegative" in err
-    monkeypatch.setenv("SEPCODES_GUARD", "-3")
-    code, _, err = run(capsys, ["verify", "--graph", h4])
-    assert code == 1 and "SEPCODES_GUARD must be a nonnegative" in err
+
+
+def test_usage_errors_exit_1(capsys, h4):
+    for argv, message in (
+        (["compute", "--graph", h4], "the following arguments are required: --kind"),
+        (["compute", "--graph", h4, "--kind", "XY"], "argument --kind: invalid choice: 'XY'"),
+        (["dump", "--graph", h4], "the following arguments are required: --kind"),
+        (["frobnicate"], "argument verb: invalid choice: 'frobnicate'"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out and message in err, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
 
 
 def test_verify_all_pass(capsys, h4):
@@ -159,7 +164,7 @@ def test_reduce_f_iff_runs_under_guard(capsys, tmp_path):
     code, _, err = run(
         capsys, ["reduce", "--testcover", str(tc), "--sep", "F", "--verify", "--guard", "34"]
     )
-    assert code == 1 and "over the exact-solve guard 34" in err
+    assert code == 1 and "over the exact-solver guard 34" in err
     code, out, _ = run(
         capsys, ["reduce", "--testcover", str(tc), "--sep", "F", "--verify", "--guard", "35"]
     )

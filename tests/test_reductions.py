@@ -19,7 +19,7 @@ from sepcodes.reductions import (
     validate_test_cover,
     verify_reduction_iff,
 )
-from sepcodes.separation import is_s_set, s_number
+from sepcodes.separation import is_x_code, number
 
 
 def inst(z, tests, ell):
@@ -110,7 +110,7 @@ def test_forward_set_is_separating():
         art = build_reduction(i3, s)
         chosen = padded_test_choice(i3)
         fwd = forward_s_set(art, chosen)
-        assert is_s_set(art.graph, s, fwd)
+        assert is_x_code(art.graph, s, fwd)
         assert len(fwd) <= art.k
 
 
@@ -151,7 +151,7 @@ def test_gadget_lower_bound_on_minimum_sets():
     i2 = inst(2, [{0}], 1)
     for s in ("I", "L"):
         art = build_reduction(i2, s)
-        res = s_number(art.graph, s)
+        res = number(art.graph, s)
         assert res.feasible
         assert check_gadget_lower_bound(art, res.witness)
         region, bound = gadget_lower_bound(art)
@@ -171,11 +171,6 @@ def test_iff_examples():
     assert verify_reduction_iff(inst(2, [{0}], 1), "L")
     assert verify_reduction_iff(inst(2, [{0}], 1), "F")
     assert verify_reduction_iff(inst(3, [{0}, {1}], 2), "O")
-
-
-def test_iff_guard():
-    with pytest.raises(ValueError):
-        verify_reduction_iff(inst(3, [{0}, {1}], 2), "F", guard=10)
 
 
 def test_tiny_instances_family():

@@ -12,20 +12,9 @@ from sepcodes.graphs import (
     make_family,
     open_neighborhood,
 )
-from sepcodes.hypergraphs import covering_number, reduce_to_clutter
+from sepcodes.hypergraphs import covering_number, covering_number_at_most, reduce_to_clutter
 from sepcodes.kinds import ALL_KINDS, CODE_KINDS, SEPARATION_KINDS, split_code_kind
-from sepcodes.separation import (
-    code_hypergraph,
-    is_s_set,
-    is_x_code,
-    number,
-    s_number,
-    s_number_at_most,
-    s_number_bruteforce,
-    separation_hypergraph,
-    x_number,
-    x_number_bruteforce,
-)
+from sepcodes.separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 
 
 def graphs(max_n=6):
@@ -60,8 +49,8 @@ def test_delta_p4():
     # difference, so the edge (1,2) contributes the full vertex set to O
     # (open for adjacent pairs) and {0,3} to I (closed for adjacent pairs)
     g = make_family("path", 4)
-    assert {0, 1, 2, 3} in separation_hypergraph(g, "O").edges
-    assert {0, 3} in separation_hypergraph(g, "I").edges
+    assert {0, 1, 2, 3} in code_hypergraph(g, "O").edges
+    assert {0, 3} in code_hypergraph(g, "I").edges
 
 
 def test_delta_thin_spider_identities():
@@ -69,9 +58,9 @@ def test_delta_thin_spider_identities():
     # non-adjacent (open differences: O and F)
     k = 4
     g = make_family("thin_spider", k)
-    closed_adj = set(separation_hypergraph(g, "I").edges)
-    open_non = set(separation_hypergraph(g, "O").edges)
-    full = set(separation_hypergraph(g, "F").edges)
+    closed_adj = set(code_hypergraph(g, "I").edges)
+    open_non = set(code_hypergraph(g, "O").edges)
+    full = set(code_hypergraph(g, "F").edges)
     for i in range(k):
         for j in range(i + 1, k):
             assert {k + i, k + j} in closed_adj & full
@@ -95,24 +84,23 @@ def test_separation_hypergraph_recipes():
 
         expected = [diff(adj_kind, u, v) for u, v in pairs if g.has_edge(u, v)]
         expected += [diff(non_kind, u, v) for u, v in pairs if not g.has_edge(u, v)]
-        h = separation_hypergraph(g, s)
+        h = code_hypergraph(g, s)
         assert list(h.edges) == expected, s
-        assert h == code_hypergraph(g, s)
         for dom, kind in (("D", "closed"), ("TD", "open")):
             dom_edges = tuple(nbhd[kind](g, v) for v in range(g.n))
             assert code_hypergraph(g, s + dom).edges == h.edges + dom_edges, s + dom
-    assert all(e for e in separation_hypergraph(make_family("path", 4), "I").edges)
+    assert all(e for e in code_hypergraph(make_family("path", 4), "I").edges)
 
 
 def test_open_twins_give_empty_edge():
-    h = separation_hypergraph(make_family("star", 2), "O")
+    h = code_hypergraph(make_family("star", 2), "O")
     assert any(not e for e in h.edges)
     assert not covering_number(h).feasible
 
 
 def test_full_separation_clutter_of_thin_spider():
     k = 4
-    h = reduce_to_clutter(separation_hypergraph(make_family("thin_spider", k), "F"))
+    h = reduce_to_clutter(code_hypergraph(make_family("thin_spider", k), "F"))
     expected = {frozenset({i, j}) for i in range(k) for j in range(i + 1, k)}
     expected |= {frozenset({k + i, k + j}) for i in range(k) for j in range(i + 1, k)}
     assert set(h.edges) == expected
@@ -121,7 +109,7 @@ def test_full_separation_clutter_of_thin_spider():
 def test_closed_separation_clutter_of_thin_spider():
     # minimal edges: Q minus one vertex, per clique vertex, and all {s_i,s_j}
     k = 4
-    h = reduce_to_clutter(separation_hypergraph(make_family("thin_spider", k), "I"))
+    h = reduce_to_clutter(code_hypergraph(make_family("thin_spider", k), "I"))
     q = frozenset(range(k))
     expected = {q - {i} for i in range(k)}
     expected |= {frozenset({k + i, k + j}) for i in range(k) for j in range(i + 1, k)}
@@ -140,20 +128,20 @@ def test_code_hypergraph_domination_edges():
 def test_star_code_numbers():
     star = make_family("star", 3)
     for kind in ("LD", "LTD", "ID", "ITD"):
-        assert x_number(star, kind).tau == 3
+        assert number(star, kind).tau == 3
 
 
 def test_is_s_set_definitions():
     g = make_family("path", 5)
     full = frozenset(range(5))
-    assert is_s_set(g, "F", full)
+    assert is_x_code(g, "F", full)
     star = make_family("star", 3)
-    assert not is_s_set(star, "O", frozenset(range(4)))
+    assert not is_x_code(star, "O", frozenset(range(4)))
     spider = make_family("thin_spider", 4)
     c = frozenset({1, 2, 3, 4, 5})
-    assert is_s_set(spider, "I", c) == (len(c) >= s_number(spider, "I").tau and
-                                        is_s_set(spider, "I", c))
-    assert s_number(spider, "I").tau == 5
+    assert is_x_code(spider, "I", c) == (len(c) >= number(spider, "I").tau and
+                                          is_x_code(spider, "I", c))
+    assert number(spider, "I").tau == 5
 
 
 def test_is_x_code_clique():
@@ -167,58 +155,58 @@ def test_locating_code_p5():
     p5 = make_family("path", 5)
     res = x_number_bruteforce(p5, "LD")
     assert is_x_code(p5, "LD", res.witness)
-    assert res.tau == x_number(p5, "LD").tau
+    assert res.tau == number(p5, "LD").tau
 
 
 def test_spot_numbers():
-    assert s_number(make_family("thin_spider", 5), "I").tau == 6
-    assert s_number(make_family("thin_spider", 5), "F").tau == 8
-    assert s_number(make_family("thick_spider", 4), "O").tau == 5
-    assert x_number(make_family("clique", 5), "OD").tau == 4
-    assert x_number(make_family("thin_spider", 4), "ITD").tau == 7
-    assert x_number(make_family("thick_spider", 4), "FTD").tau == 6
+    assert number(make_family("thin_spider", 5), "I").tau == 6
+    assert number(make_family("thin_spider", 5), "F").tau == 8
+    assert number(make_family("thick_spider", 4), "O").tau == 5
+    assert number(make_family("clique", 5), "OD").tau == 4
+    assert number(make_family("thin_spider", 4), "ITD").tau == 7
+    assert number(make_family("thick_spider", 4), "FTD").tau == 6
 
 
 def test_single_vertex_conventions():
     g = Graph.from_edges(1, [])
-    assert s_number(g, "L").tau == 0
-    assert s_number(g, "O").tau == 0
-    assert x_number(g, "D").tau == 1
-    assert not x_number(g, "TD").feasible
+    assert number(g, "L").tau == 0
+    assert number(g, "O").tau == 0
+    assert number(g, "D").tau == 1
+    assert not number(g, "TD").feasible
 
 
 def test_number_dispatch():
     g = make_family("path", 4)
-    assert number(g, "L").tau == s_number(g, "L").tau
-    assert number(g, "D").tau == x_number(g, "D").tau
+    assert number(g, "L").tau == x_number_bruteforce(g, "L").tau
+    assert number(g, "D").tau == x_number_bruteforce(g, "D").tau
     with pytest.raises(ValueError):
         number(g, "XY")
 
 
 def test_s_number_at_most():
     g = make_family("thin_spider", 4)
-    assert s_number_at_most(g, "I", 5)
-    assert not s_number_at_most(g, "I", 4)
-    assert not s_number_at_most(make_family("clique", 3), "I", 3)
+    assert covering_number_at_most(code_hypergraph(g, "I"), 5)
+    assert not covering_number_at_most(code_hypergraph(g, "I"), 4)
+    assert not covering_number_at_most(code_hypergraph(make_family("clique", 3), "I"), 3)
 
 
 def test_bruteforce_guard():
     with pytest.raises(ValueError):
-        s_number_bruteforce(make_family("path", 17), "L")
+        x_number_bruteforce(make_family("path", 17), "L")
 
 
 @given(graphs(max_n=5), st.sampled_from(SEPARATION_KINDS))
 @settings(max_examples=200, deadline=None)
 def test_oracle_agreement(g, s):
-    a = s_number(g, s)
-    b = s_number_bruteforce(g, s)
+    a = number(g, s)
+    b = x_number_bruteforce(g, s)
     assert (a.feasible, a.tau, a.witness) == (b.feasible, b.tau, b.witness)
 
 
 @given(graphs(max_n=5), st.sampled_from(CODE_KINDS + ("D", "TD")))
 @settings(max_examples=200, deadline=None)
 def test_code_oracle_agreement(g, kind):
-    a = x_number(g, kind)
+    a = number(g, kind)
     b = x_number_bruteforce(g, kind)
     assert (a.feasible, a.tau, a.witness) == (b.feasible, b.tau, b.witness)
 
@@ -234,7 +222,7 @@ def test_feasibility_matches_twin_verdicts(g):
 @given(graphs(max_n=6))
 @settings(max_examples=100, deadline=None)
 def test_locating_witness_leaves_at_most_one_undominated(g):
-    res = s_number(g, "L")
+    res = number(g, "L")
     if not res.feasible:
         return
     c = res.witness

@@ -3,20 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcodes.graphs import Graph, complement, detect_twins, make_family
-from sepcodes.separation import is_s_set, is_x_code, s_number, x_number_bruteforce
+from sepcodes.separation import is_x_code, number, x_number_bruteforce
 from sepcodes.theorems import (
     FIG2_ARROWS,
     all_numbers,
     augment_to_sd_code,
     augment_to_std_code_li,
     augment_to_std_code_of,
-    check_bound_theorems,
-    check_chain,
-    check_code_order,
     check_complement_duality,
-    check_domination_bounds,
     check_gap_corollary,
-    check_separation_order,
+    check_inequalities,
     check_spider_formulas,
     check_theorem,
     spider_closed_forms,
@@ -51,7 +47,7 @@ def test_all_numbers_keys():
 
 def test_sd_augment_noop_when_dominating():
     g = make_family("path", 5)
-    c = s_number(g, "L").witness
+    c = number(g, "L").witness
     out = augment_to_sd_code(g, "L", c)
     assert is_x_code(g, "LD", out)
     assert len(out) <= len(c) + 1
@@ -59,7 +55,7 @@ def test_sd_augment_noop_when_dominating():
 
 def test_sd_augment_thin_spider_closed_sep():
     g = make_family("thin_spider", 4)
-    c = s_number(g, "I").witness
+    c = number(g, "I").witness
     assert len(c) == 5
     out = augment_to_sd_code(g, "I", c)
     assert is_x_code(g, "ID", out)
@@ -74,7 +70,7 @@ def test_sd_augment_rejects_non_set():
 
 def test_std_of_augment_thin_spider():
     g = make_family("thin_spider", 4)
-    c = s_number(g, "O").witness
+    c = number(g, "O").witness
     assert len(c) == 3
     out = augment_to_std_code_of(g, "O", c)
     assert is_x_code(g, "OTD", out)
@@ -83,7 +79,7 @@ def test_std_of_augment_thin_spider():
 
 def test_std_of_augment_full_sep():
     g = make_family("thin_spider", 5)
-    c = s_number(g, "F").witness
+    c = number(g, "F").witness
     assert len(c) == 8
     out = augment_to_std_code_of(g, "F", c)
     assert is_x_code(g, "FTD", out)
@@ -93,7 +89,7 @@ def test_std_of_augment_full_sep():
 def test_std_of_rejects_wrong_kind_and_isolated():
     g = make_family("path", 4)
     with pytest.raises(ValueError):
-        augment_to_std_code_of(g, "L", s_number(g, "L").witness)
+        augment_to_std_code_of(g, "L", number(g, "L").witness)
     iso = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
         augment_to_std_code_of(iso, "O", frozenset({0, 2}))
@@ -101,7 +97,7 @@ def test_std_of_rejects_wrong_kind_and_isolated():
 
 def test_std_li_augment_thin_spider():
     g = make_family("thin_spider", 4)
-    c = s_number(g, "I").witness
+    c = number(g, "I").witness
     out = augment_to_std_code_li(g, "I", c)
     assert is_x_code(g, "ITD", out)
     assert len(out) <= 2 * len(c)
@@ -117,7 +113,7 @@ def test_std_li_noop_when_total_dominating():
 @given(graphs(max_n=7), st.sampled_from(("L", "O", "I", "F")))
 @settings(max_examples=150, deadline=None)
 def test_augmentations_on_minimum_witnesses(g, s):
-    res = s_number(g, s)
+    res = number(g, s)
     if not res.feasible:
         return
     c = res.witness
@@ -148,45 +144,27 @@ def test_fig2_arrow_shape():
 def test_inequalities_on_families(family, size):
     g = make_family(family, size)
     nums = all_numbers(g)
-    for check in (
-        check_chain,
-        check_domination_bounds,
-        check_code_order,
-        check_separation_order,
-        check_bound_theorems,
-    ):
-        report = check(g, nums)
+    for theorem in ("eq4", "eq1+eq2", "fig2", "sep-order", "thm3+thm4+thm5"):
+        report = check_inequalities(g, theorem, nums)
         assert report.passed, report.as_dict()
 
 
 def test_house_all_checks_pass():
     house = complement(make_family("path", 5))
-    for check in (
-        check_chain,
-        check_domination_bounds,
-        check_code_order,
-        check_separation_order,
-        check_bound_theorems,
-        check_complement_duality,
-        check_gap_corollary,
-    ):
+    for theorem in ("eq4", "eq1+eq2", "fig2", "sep-order", "thm3+thm4+thm5"):
+        assert check_inequalities(house, theorem).passed
+    for check in (check_complement_duality, check_gap_corollary):
         assert check(house).passed
 
 
 def test_check_theorem_dispatches_by_id():
     g = make_family("thin_spider", 4)
-    for theorem, check in (
-        ("eq4", check_chain),
-        ("eq1+eq2", check_domination_bounds),
-        ("fig2", check_code_order),
-        ("sep-order", check_separation_order),
-        ("thm3+thm4+thm5", check_bound_theorems),
-        ("thm7", check_complement_duality),
-        ("cor2", check_gap_corollary),
-    ):
+    checks = {"thm7": check_complement_duality, "cor2": check_gap_corollary}
+    for theorem in ("eq4", "eq1+eq2", "fig2", "sep-order", "thm3+thm4+thm5", "thm7", "cor2"):
         report = check_theorem(g, theorem)
         assert report.theorem == theorem and report.passed
-        assert report.as_dict() == check(g).as_dict()
+        expected = checks[theorem](g) if theorem in checks else check_inequalities(g, theorem)
+        assert report.as_dict() == expected.as_dict()
     with pytest.raises(ValueError):
         check_theorem(g, "thm99")
 
@@ -203,7 +181,7 @@ def test_gap_pairings_follow_the_within_one_bounds():
 
 def test_bound_report_skips_infeasible():
     star = make_family("star", 3)  # open twins: no O/F kinds
-    report = check_bound_theorems(star)
+    report = check_inequalities(star, "thm3+thm4+thm5")
     assert report.passed
     assert any("O" in item for item in report.skipped)
 
@@ -215,7 +193,7 @@ def test_duality_thin_thick_spider():
     g = make_family("thin_spider", 4)
     report = check_complement_duality(g)
     assert report.passed
-    assert s_number(g, "I").tau == s_number(make_family("thick_spider", 4), "O").tau == 5
+    assert number(g, "I").tau == number(make_family("thick_spider", 4), "O").tau == 5
 
 
 def test_duality_self_complementary_p4():
@@ -286,3 +264,24 @@ def test_spider_check_k4_known_boundary_mismatch():
     assert forms5["thick"]["LD"] == forms5["thick"]["LTD"] == 4
     # the definition-based brute force confirms the boundary value
     assert x_number_bruteforce(make_family("thick_spider", 4), "LD").tau == 4
+
+
+# --- paths and cycles ------------------------------------------------------
+
+
+def test_path_and_cycle_closed_forms():
+    # LD(P_n) = LD(C_n) = ceil(2n/5) (Slater 1988); ID(P_n) = ceil((n+1)/2)
+    # except at P_2, whose two vertices are closed twins (Bertrand, Charon,
+    # Hudry and Lobstein 2004); ID(C_n) = n/2 for even n >= 6, while C_4
+    # needs 3 (Gravier, Moncel and Semri 2006)
+    cases = [("path", n, "LD", -(-2 * n // 5)) for n in range(1, 31)]
+    cases += [("cycle", n, "LD", -(-2 * n // 5)) for n in range(3, 31)]
+    cases += [("path", n, "ID", (n + 2) // 2) for n in [1] + list(range(3, 31))]
+    cases += [("cycle", n, "ID", n // 2) for n in range(6, 31, 2)]
+    cases.append(("cycle", 4, "ID", 3))
+    wrong = {}
+    for family, n, kind, expected in cases:
+        got = number(make_family(family, n), kind).tau
+        if got != expected:
+            wrong[family, n, kind] = (expected, got)
+    assert not wrong
