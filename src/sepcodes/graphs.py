@@ -153,7 +153,24 @@ def detect_twins(g: Graph) -> AdmissibilityReport:
 FAMILY_NAMES = ("path", "cycle", "clique", "star", "empty", "thin_spider", "thick_spider")
 
 
+# Vertices plus edges of the largest family graph make_family builds.
+_FAMILY_SIZE_CAP = 10**6
+
+
 def make_family(name: str, size: int) -> Graph:
+    k = max(size, 0)  # a size below a family's minimum is refused below
+    n, m = {
+        "path": (k, k - 1),
+        "cycle": (k, k),
+        "clique": (k, k * (k - 1) // 2),
+        "star": (k + 1, k),
+        "empty": (k, 0),
+        "thin_spider": (2 * k, k * (k + 1) // 2),
+        "thick_spider": (2 * k, 3 * k * (k - 1) // 2),
+    }.get(name, (0, 0))
+    if n + m > _FAMILY_SIZE_CAP:
+        raise ValueError("%s of size %d would have %d vertices and %d edges, over the cap "
+                         "of %d vertices plus edges" % (name, size, n, m, _FAMILY_SIZE_CAP))
     if name == "path":
         if size < 1:
             raise ValueError("path needs size >= 1")

@@ -8,12 +8,13 @@ an independent oracle.  The search runs on each connected component of the
 clutter on its own: components share no vertex, so tau is the sum of the
 per-component values.
 
-Edges are represented as Python int bitmasks inside the solver.
+Inside the solver, one search (`_search`) runs over residual edge bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 __all__ = [
@@ -112,129 +113,92 @@ def _bits(x: int):
         x ^= b
 
 
-def _matching_lower_bound(masks, chosen: int, banned: int) -> int:
-    """Greedy disjoint-edge matching over edges not met by `chosen`.
+def _search(masks, best: int, lex: bool = False):
+    """Depth-first branch and bound for a cover smaller than `best`.
 
-    Pairwise disjoint uncovered edges need one cover vertex each, so the
-    matching size lower-bounds the vertices still to be added.  Edges with
-    all vertices banned make the branch infeasible (returned as a huge bound).
+    Returns (size, cover): plain mode gives the smallest size (`best` if
+    none is smaller) and None, lex mode the first cover as a bitmask.
+    The stack is explicit, so the depth is not bounded by the recursion limit.
+
+    A stack node is (edges, chosen, size, take, ban), where `edges` is the
+    parent's list of uncovered edges, cut to their available vertices, in
+    clutter order.  A popped node filters it once, dropping the edges `take`
+    meets and clearing the `ban` bits; that pass also finds the forced
+    vertices (edges left with one vertex, taken before filtering again), the
+    greedy disjoint-edge matching (a lower bound: disjoint edges need one
+    vertex each) and, in plain mode, the first smallest edge.
+
+    Plain mode starts from the greedy cover and branches on each vertex of
+    the first smallest edge, banning those before it; with `best` = cap + 1
+    any answer above the cap reads as cap + 1.  Lex mode, called with
+    `best` = tau + 1, branches take-then-ban on the lowest vertex still in
+    an uncovered edge, and its first cover is the lex-min minimum cover:
+    (1) a forced vertex is in every cover of its subtree; (2) a vertex
+    neither chosen nor in an uncovered edge is in no minimum cover below
+    that node, as removing it leaves a smaller cover; (3) so the minimum
+    covers of a subtree differ only on its live vertices, and those holding
+    the lowest one sort first.  The take child is searched first, and the
+    bounds prune only subtrees with no cover of size tau.
     """
-    used = 0
-    count = 0
-    for m in masks:
-        if m & chosen:
-            continue
-        avail = m & ~banned
-        if not avail:
-            return 1 << 30
-        if not (avail & used):
-            used |= avail
-            count += 1
-    return count
+    if not lex:  # greedy upper bound: repeatedly take the most frequent vertex
+        chosen = 0
+        work = list(masks)
+        while work:
+            counts = Counter(v for m in work for v in _bits(m))
+            v = max(counts, key=lambda x: (counts[x], -x))
+            chosen |= 1 << v
+            work = [m for m in work if not (m & chosen)]
+        best = min(best, chosen.bit_count())
 
-
-def _propagate(masks, chosen: int, banned: int, size: int, best: int):
-    """Unit propagation: add the one available vertex of every uncovered
-    edge that has only one, until none is forced.  Returns (chosen, size,
-    pending), where pending is the first smallest uncovered edge (None when
-    every edge is covered), or None when some uncovered edge has no
-    available vertex or size reaches best."""
-    while True:
-        forced = 0
-        pending = None
-        for m in masks:
-            if m & chosen:
-                continue
-            avail = m & ~banned
-            na = avail.bit_count()
-            if na == 0:
-                return None
-            if na == 1:
-                forced |= avail
-            elif pending is None or na < (pending & ~banned).bit_count():
-                pending = m
-        if not forced:
-            return chosen, size, pending
-        chosen |= forced
-        size += forced.bit_count()
-        if size >= best:
-            return None
-
-
-def _solve_tau(masks, nverts: int, cap: int | None = None) -> int:
-    """Minimum hitting-set size via DFS branch and bound.
-
-    Branches on a minimum-size uncovered edge; prunes with the disjoint-edge
-    matching bound and propagates forced vertices (uncovered edges with a
-    single available vertex).  With `cap` set, any answer above cap is
-    reported as cap+1, which turns the search into a fast decision procedure.
-    The DFS keeps an explicit stack, so its depth is not bounded by Python's
-    recursion limit; nodes pop in the order a recursive search visits them,
-    and each reads the incumbent when it is popped.
-    """
-    best = nverts + 1
-    if cap is not None:
-        best = min(best, cap + 1)
-
-    # greedy upper bound: repeatedly take the most frequent vertex
-    chosen = 0
-    work = list(masks)
-    while work:
-        counts = {}
-        for m in work:
-            for v in _bits(m):
-                counts[v] = counts.get(v, 0) + 1
-        v = max(counts, key=lambda x: (counts[x], -x))
-        chosen |= 1 << v
-        work = [m for m in work if not (m & chosen)]
-    best = min(best, chosen.bit_count())
-
-    stack = [(0, 0, 0)]  # (chosen, banned, size)
+    stack = [(masks, 0, 0, 0, 0)]
     while stack:
-        chosen, banned, size = stack.pop()
-        node = _propagate(masks, chosen, banned, size, best)
-        if node is None:
-            continue
-        chosen, size, pending = node
-        if pending is None:
-            best = min(best, size)
-            continue
-        if size + _matching_lower_bound(masks, chosen, banned) >= best:
-            continue
-        # branch on each available vertex of pending, banning the ones
-        # before it; pushed in reverse, the children pop in ascending order
-        avail = pending & ~banned
-        for v in reversed(list(_bits(avail))):
-            stack.append((chosen | (1 << v), banned | (avail & ((1 << v) - 1)), size + 1))
-    return best
-
-
-def _lex_min_cover(masks, tau: int, n: int) -> frozenset[int]:
-    """Lexicographically smallest cover of size tau.
-
-    Candidate sets of equal size are compared as sorted vertex tuples; the
-    include-first DFS over ascending vertices finds the smallest one first.
-    The DFS keeps an explicit stack, so its depth is not bounded by Python's
-    recursion limit.
-    """
-    support = 0
-    for m in masks:
-        support |= m
-    cand = [v for v in range(n) if support >> v & 1]
-    stack = [(0, 0, 0, 0)]  # (candidate index, chosen, banned, size)
-    while stack:
-        idx, chosen, banned, size = stack.pop()
-        if all(m & chosen for m in masks):
-            return frozenset(_bits(chosen))
-        if idx >= len(cand) or size >= tau:
-            continue
-        lb = _matching_lower_bound(masks, chosen, banned)
-        if lb >= 1 << 30 or size + lb > tau:
-            continue
-        bit = 1 << cand[idx]
-        stack.append((idx + 1, chosen, banned | bit, size))  # exclude, popped second
-        stack.append((idx + 1, chosen | bit, banned, size + 1))  # include, popped first
-    raise AssertionError("no cover of size tau found; solver bug")
+        edges, chosen, size, take, ban = stack.pop()
+        while size < best:
+            rest = []
+            forced = used = bound = live = pending = pn = 0
+            for e in edges:
+                if e & take:
+                    continue
+                # only a ban leaves an edge with one vertex: a one-vertex
+                # clutter edge is a component of its own
+                if e & ban:
+                    e &= ~ban
+                    if not e & (e - 1):
+                        if not e:
+                            break  # an edge with no available vertex
+                        forced |= e
+                if lex:
+                    live |= e
+                elif pn != 2:  # no unforced edge has fewer than 2 vertices
+                    na = e.bit_count()
+                    if not pn or na < pn:
+                        pending, pn = e, na
+                if not e & used:
+                    used |= e
+                    bound += 1
+                rest.append(e)
+            else:
+                if forced:
+                    chosen |= forced
+                    size += forced.bit_count()
+                    edges, take, ban = rest, forced, 0
+                    continue
+                if not rest:
+                    if lex:
+                        return size, chosen
+                    best = size
+                elif size + bound < best:
+                    if lex:
+                        v = live & -live
+                        stack.append((rest, chosen, size, 0, v))
+                        stack.append((rest, chosen | v, size + 1, v, 0))
+                    else:
+                        for bit in reversed([1 << v for v in _bits(pending)]):
+                            stack.append((rest, chosen | bit, size + 1, bit, pending & (bit - 1)))
+            break
+    if lex:
+        raise AssertionError("no cover of size tau found; solver bug")
+    return best, None
 
 
 def _clutter_masks(h: Hypergraph):
@@ -250,8 +214,8 @@ def _components(masks):
     """Split clutter masks into connected components: vertex sets that no
     edge joins.  Each edge unites the disjoint supports it meets (a
     union-find whose sets are bitmasks); every component then keeps its
-    edges in clutter order, which `_solve_tau`'s "first smallest edge"
-    branching relies on."""
+    edges in clutter order, which the "first smallest edge" branching of
+    `_search` relies on."""
     supports = []
     for m in masks:
         rest = []
@@ -296,9 +260,9 @@ def covering_number(h: Hypergraph) -> CoverResult:
     tau = 0
     witness = frozenset()
     for comp in _components(masks):
-        t = _solve_tau(comp, h.n)
+        t, _ = _search(comp, h.n + 1)
         tau += t
-        witness |= _lex_min_cover(comp, t, h.n)
+        witness |= frozenset(_bits(_search(comp, t + 1, lex=True)[1]))
     return CoverResult(True, tau, witness)
 
 
@@ -323,7 +287,7 @@ def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
         cap = left - (len(comps) - 1 - i)
         if cap < 1:
             return False
-        t = _solve_tau(comp, h.n, cap=cap)
+        t, _ = _search(comp, cap + 1)
         if t > cap:
             return False
         left -= t

@@ -297,34 +297,30 @@ def tiny_instances(max_items: int = 4, max_tests: int = 4, max_budget: int = 2):
     """Every valid instance with at most the given items, tests and budget,
     deduplicated under relabeling of the items.
 
-    The canonical form of a test collection is the lexicographically
-    smallest sorted tuple of sorted tests over all item permutations.
+    The first valid test collection of each orbit is kept, and its images
+    under every item permutation are marked as seen.  Orbits never cross
+    item counts, so the marks are reset for each.
     """
 
-    def canonical(z, tests):
-        best = None
-        for perm in itertools.permutations(range(z)):
-            mapped = tuple(sorted(tuple(sorted(perm[u] for u in t)) for t in tests))
-            if best is None or mapped < best:
-                best = mapped
-        return best
+    def image(tests, perm):  # bit b is set iff some relabeled test has items b
+        return sum(1 << sum(1 << perm[u] for u in t) for t in tests)
 
-    seen = set()
     for z in range(1, max_items + 1):
+        perms = list(itertools.permutations(range(z)))  # the identity first
         subsets = [
             frozenset(c)
             for r in range(1, z + 1)
             for c in itertools.combinations(range(z), r)
         ]
+        seen = set()
         for y in range(1, max_tests + 1):
             for tests in itertools.combinations(subsets, y):
+                if image(tests, perms[0]) in seen:
+                    continue
                 inst = TestCoverInstance.of(z, tests, 1)
                 if not validate_test_cover(inst):
                     continue
-                key = (z, canonical(z, tests))
-                if key in seen:
-                    continue
-                seen.add(key)
+                seen.update(image(tests, p) for p in perms)
                 for ell in range(1, max_budget + 1):
                     yield TestCoverInstance.of(z, tests, ell)
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_families_roundtrip(capsys, tmp_path):
     assert out_path.read_text().splitlines()[0] == "8 10"
     code, _, err = run(capsys, ["families", "--name", "nope", "--k", "3"])
     assert code == 1
+
+
+def test_families_refuses_graphs_over_the_size_cap(capsys):
+    # a million-vertex clique or thick spider has about 10**12 edges: the
+    # request is refused from k alone, before any graph is built
+    for name in ("clique", "thick_spider"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["families", "--name", name, "--k", "1000000"])
+        assert time.perf_counter() - start < 1.0, name
+        assert code == 1 and not out and "over the cap of 1000000" in err, name
+    code, out, _ = run(capsys, ["families", "--name", "path", "--k", "100000"])
+    assert code == 0 and json.loads(out)["m"] == 99999
 
 
 def test_out_write_error_exits_1(capsys, tmp_path, h4):

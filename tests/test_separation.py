@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepcodes.catalog import random_graph
 from sepcodes.graphs import (
     Graph,
     closed_neighborhood,
@@ -12,8 +15,14 @@ from sepcodes.graphs import (
     make_family,
     open_neighborhood,
 )
-from sepcodes.hypergraphs import covering_number, covering_number_at_most, reduce_to_clutter
+from sepcodes.hypergraphs import (
+    Hypergraph,
+    covering_number,
+    covering_number_at_most,
+    reduce_to_clutter,
+)
 from sepcodes.kinds import ALL_KINDS, CODE_KINDS, SEPARATION_KINDS, split_code_kind
+from sepcodes.reductions import build_reduction, tiny_instances
 from sepcodes.separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 
 
@@ -230,11 +239,48 @@ def test_locating_witness_leaves_at_most_one_undominated(g):
     assert len(missing) <= 1
 
 
+def self_reduced_witness(h, tau):
+    """The lex-min minimum cover of h, whose covering number is tau, by
+    self-reduction from capped decisions alone.  Walk the support in
+    ascending order and keep v iff the edges not met by the kept vertices
+    and v, without the rejected vertices, have a cover within what tau
+    leaves.  If v is in the lex-min minimum cover, the rest of that cover
+    fits; if not, a fitting cover would give a minimum cover that holds v
+    and agrees with it below v, which sorts first."""
+    kept, rejected = frozenset(), frozenset()
+    for v in sorted(set().union(*h.edges)):
+        taken = kept | {v}
+        rest = Hypergraph(h.n, tuple(e - rejected for e in h.edges if not e & taken))
+        if covering_number_at_most(rest, tau - len(taken)):
+            kept = taken
+        else:
+            rejected |= {v}
+    return kept
+
+
+def test_witness_matches_self_reduction_past_the_bruteforce_range():
+    # the L reductions of the MILP oracle test (26 to 40 vertices) and every
+    # kind on random graphs with 17 to 19 vertices
+    graphs = [build_reduction(i, "L").graph for i in list(tiny_instances())[::6]]
+    cases = [(g, "L") for g in graphs if g.n > 24]
+    assert len(cases) == 40
+    cases += [(random_graph(n, 0.5, random.Random(n)), kind)
+              for n in (17, 18, 19) for kind in ALL_KINDS]
+    for g, kind in cases:
+        h = reduce_to_clutter(code_hypergraph(g, kind))
+        res = covering_number(h)
+        if res.feasible:
+            assert res.witness == self_reduced_witness(h, res.tau), (g.n, kind)
+
+
 def test_long_path_domination_needs_no_deep_recursion():
     g = make_family("path", 1100)
     res = number(g, "D")
     assert res.feasible and res.tau == 367
     assert is_x_code(g, "D", res.witness)
+    text = " ".join(map(str, sorted(res.witness)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d463ebab92f0e72cf67439d46abd80c8503c18e6cb974465983d363ab7a72ed1")
 
 
 def test_tau_search_depth_is_not_bounded_by_the_recursion_limit():
