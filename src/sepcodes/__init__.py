@@ -53,9 +53,7 @@ from .separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 from .theorems import (
     TheoremReport,
     all_numbers,
-    augment_to_sd_code,
-    augment_to_std_code_li,
-    augment_to_std_code_of,
+    augment_to_code,
     check_complement_duality,
     check_inequalities,
     check_gap_corollary,

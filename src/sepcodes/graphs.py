@@ -215,6 +215,7 @@ def parse_graph(text: str) -> Graph:
     lines = text.splitlines()
     header = None
     edges = []
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,8 +243,9 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError("self-loop %d %d" % (u, v), lineno)
         if not (0 <= u < v < n):
             raise GraphParseError("edge %d %d violates 0 <= u < v < n" % (u, v), lineno)
-        if (u, v) in edges:
+        if (u, v) in seen:
             raise GraphParseError("duplicate edge %d %d" % (u, v), lineno)
+        seen.add((u, v))
         edges.append((u, v))
     if header is None:
         raise GraphParseError("empty graph file")

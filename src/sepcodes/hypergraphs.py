@@ -37,14 +37,6 @@ class Hypergraph:
     n: int
     edges: tuple[frozenset[int], ...]
 
-    @staticmethod
-    def of(n: int, edges) -> "Hypergraph":
-        edges = tuple(frozenset(e) for e in edges)
-        for e in edges:
-            if any(not (0 <= v < n) for v in e):
-                raise ValueError("hyperedge %s outside universe 0..%d" % (sorted(e), n - 1))
-        return Hypergraph(n, edges)
-
 
 @dataclass(frozen=True)
 class CoverResult:
@@ -272,9 +264,10 @@ def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
     Same search as covering_number, run per connected component of the
     clutter, smallest first, with the incumbent capped at what the budget
     leaves for that component: every component still to solve needs at
-    least one vertex.  The branch and bound never proves an exact optimum
-    once the question is settled, and the answer is False as soon as one
-    component exceeds its cap.
+    least one vertex.  The answer is False as soon as one component exceeds
+    its cap.  A component that fits its cap is still solved to its exact
+    optimum, which later caps need; the last one is too, although its fit
+    already settles the answer.
     """
     if budget < 0:
         return False

@@ -12,15 +12,13 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, complement, detect_twins, make_family
 from .hypergraphs import reduce_to_clutter
-from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS
+from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS, split_code_kind
 from .separation import code_hypergraph, is_x_code, number
 
 __all__ = [
     "TheoremReport",
     "all_numbers",
-    "augment_to_sd_code",
-    "augment_to_std_code_of",
-    "augment_to_std_code_li",
+    "augment_to_code",
     "INEQUALITIES",
     "COMPLEMENT_PAIRS",
     "check_inequalities",
@@ -66,97 +64,6 @@ def _describe(g: Graph) -> str:
 def all_numbers(g: Graph) -> dict:
     """All 14 separation/domination/code numbers of g, as CoverResults."""
     return {kind: number(g, kind) for kind in SEPARATION_KINDS + ("D", "TD") + CODE_KINDS}
-
-
-# ---------------------------------------------------------------------------
-# Augmentation constructions.
-
-
-def _undominated_closed(g: Graph, c: frozenset[int]):
-    return [v for v in range(g.n) if not ((g.adj[v] | {v}) & c)]
-
-
-def _undominated_open(g: Graph, c: frozenset[int]):
-    return [v for v in range(g.n) if not (g.adj[v] & c)]
-
-
-def augment_to_sd_code(g: Graph, s: str, c: frozenset[int]) -> frozenset[int]:
-    """Extend an s-separating set to an sD-code by adding at most one vertex.
-
-    At most one vertex can have an empty closed neighborhood trace in c;
-    adding it (if present) makes c dominating while separation is preserved.
-    """
-    if s not in SEPARATION_KINDS:
-        raise ValueError("construction applies to separation kinds only")
-    c = frozenset(c)
-    if not is_x_code(g, s, c):
-        raise ValueError("input is not an %s-set" % s)
-    missing = _undominated_closed(g, c)
-    assert len(missing) <= 1, "separation admits at most one undominated vertex"
-    if missing:
-        return c | {missing[0]}
-    return c
-
-
-def augment_to_std_code_of(g: Graph, s: str, c: frozenset[int]) -> frozenset[int]:
-    """Extend an O- or F-set to an sTD-code by adding at most one vertex.
-
-    The single vertex with empty open trace (if any) gets its lowest-index
-    neighbor added; supersets of separating sets stay separating.
-    """
-    if s not in ("O", "F"):
-        raise ValueError("construction applies to O and F only")
-    c = frozenset(c)
-    if not is_x_code(g, s, c):
-        raise ValueError("input is not an %s-set" % s)
-    if any(not g.adj[v] for v in range(g.n)):
-        raise ValueError("graph has an isolated vertex; no TD-set exists")
-    missing = _undominated_open(g, c)
-    assert len(missing) <= 1, "open separation admits at most one empty open trace"
-    if missing:
-        u0 = min(g.adj[missing[0]])
-        return c | {u0}
-    return c
-
-
-def augment_to_std_code_li(g: Graph, s: str, c: frozenset[int]) -> frozenset[int]:
-    """Extend an L- or I-set to an sTD-code of size at most 2|c|.
-
-    For every member of c with no neighbor inside c, a neighbor outside c is
-    added; picks are greedy (cover as many such members as possible, then
-    lowest index).  At most one outside vertex can still be missing open
-    domination afterwards; one of its neighbors is added if needed.  The
-    guarantee, not the greedy quality, is the contract.
-    """
-    if s not in ("L", "I"):
-        raise ValueError("construction applies to L and I only")
-    c = frozenset(c)
-    if not is_x_code(g, s, c):
-        raise ValueError("input is not an %s-set" % s)
-    if any(not g.adj[v] for v in range(g.n)):
-        raise ValueError("graph has an isolated vertex; no TD-set exists")
-    needy = {v for v in c if not (g.adj[v] & c)}
-    chosen = set()
-    while needy:
-        best = None
-        best_cover = -1
-        for u in range(g.n):
-            if u in c or u in chosen:
-                continue
-            cover = len(g.adj[u] & needy)
-            if cover > best_cover:
-                best, best_cover = u, cover
-        chosen.add(best)
-        needy -= g.adj[best]
-    outside_missing = [v for v in range(g.n) if v not in c and not (g.adj[v] & c)]
-    assert len(outside_missing) <= 1
-    result = c | chosen
-    if outside_missing:
-        v0 = outside_missing[0]
-        if not (g.adj[v0] & result):
-            result |= {min(g.adj[v0])}
-    assert len(result) <= 2 * len(c)
-    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +128,73 @@ def check_inequalities(g: Graph, theorem: str, numbers=None) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
+# Augmentation constructions.
+
+# (factor, slack) of each code kind's "code <= factor * S + slack" row
+_SEP_BOUND = {lhs: (factor, slack) for theorem, _, lhs, rhs, factor, slack in INEQUALITIES
+              if theorem == "thm3+thm4+thm5" and rhs in SEPARATION_KINDS}
+
+
+def augment_to_code(g: Graph, code: str, c: frozenset[int]) -> frozenset[int]:
+    """Extend an s-set c to a code of kind code = s + d within that kind's
+    bound factor * |c| + slack (the thm3/thm4/thm5 row of INEQUALITIES).
+
+    Supersets of s-sets are s-sets, so only domination is missing: the
+    vertices whose closed (D) or open (TD) trace in c is empty.
+    Factor 1 (sD, OTD, FTD): two vertices with the same empty trace would
+    not be separated, so there is at most one; add it (sD) or its
+    lowest-index neighbor (TD).
+    Factor 2 (LTD, ITD): for every member of c with no neighbor inside c,
+    a neighbor outside c is added; picks are greedy (cover as many such
+    members as possible, then lowest index).  At most one outside vertex
+    can still be missing open domination afterwards; one of its neighbors
+    is added if needed.  The guarantee, not the greedy quality, is the
+    contract.
+    """
+    if code not in CODE_KINDS:
+        raise ValueError("construction applies to code kinds only")
+    s, d = split_code_kind(code)
+    c = frozenset(c)
+    if not is_x_code(g, s, c):
+        raise ValueError("input is not an %s-set" % s)
+    if d == "TD" and any(not g.adj[v] for v in range(g.n)):
+        raise ValueError("graph has an isolated vertex; no TD-set exists")
+    # empty closed (D) or open (TD) trace in c
+    missing = [v for v in range(g.n) if not (g.adj[v] & c or (d == "D" and v in c))]
+    factor, slack = _SEP_BOUND[code]
+    if factor == 1:
+        assert len(missing) <= 1, "separation admits at most one empty trace"
+        out = c
+        if missing:
+            out = c | {missing[0] if d == "D" else min(g.adj[missing[0]])}
+    else:
+        needy = {v for v in missing if v in c}
+        chosen = set()
+        while needy:
+            # max keeps the first, so the lowest index, of the best covers
+            best = max((u for u in range(g.n) if u not in c and u not in chosen),
+                       key=lambda u: len(g.adj[u] & needy))
+            chosen.add(best)
+            needy -= g.adj[best]
+        outside_missing = [v for v in missing if v not in c]
+        assert len(outside_missing) <= 1
+        out = c | chosen
+        if outside_missing:
+            v0 = outside_missing[0]
+            if not (g.adj[v0] & out):
+                out |= {min(g.adj[v0])}
+    assert len(out) <= factor * len(c) + slack
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Complementation.
 
-# One row (kind on G, kind on co-G, twin hypothesis) per S-number equality
-# under complementation; the hypothesis names the AdmissibilityReport twin
-# lists of G that must be empty.
-COMPLEMENT_PAIRS = (
-    ("L", "L", ()),
-    ("I", "O", ("closed_twins",)),
-    ("O", "I", ("open_twins",)),
-    ("F", "F", ("open_twins", "closed_twins")),
-)
+# One row (kind on G, kind on co-G) per S-number equality under
+# complementation; its twin hypothesis is that the kind on G is admissible
+# on G (detect_twins): closed twins rule out I, open twins O, either F.
+COMPLEMENT_PAIRS = (("L", "L"), ("I", "O"), ("O", "I"), ("F", "F"))
 
-# (code kind, its separation kind) for every "code <= S + 1" inequality row
-_WITHIN_ONE = {(lhs, rhs) for _, _, lhs, rhs, factor, slack in INEQUALITIES
-               if rhs in SEPARATION_KINDS and (factor, slack) == (1, 1)}
 
 def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> TheoremReport:
     """Equalities of S-numbers under complementation, with their twin
@@ -245,9 +204,9 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
     co_numbers = co_numbers or all_numbers(gc)
     twins = detect_twins(g)
     report = TheoremReport("thm7", _describe(g))
-    for s, t, hypothesis in COMPLEMENT_PAIRS:
+    for s, t in COMPLEMENT_PAIRS:
         label = "%s(G)=%s(co-G)" % (s, t)
-        if any(getattr(twins, name) for name in hypothesis):
+        if not twins.admissible[s]:
             report.skipped.append(label)
             continue
         a, b = numbers[s], co_numbers[t]
@@ -256,7 +215,7 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
             report.fail(g, label, {"lhs": a.as_dict(), "rhs": b.as_dict()})
 
     # clutter identities; these hold with no twin hypothesis
-    for s, t, _ in COMPLEMENT_PAIRS:
+    for s, t in COMPLEMENT_PAIRS:
         lhs = set(reduce_to_clutter(code_hypergraph(g, s)).edges)
         rhs = set(reduce_to_clutter(code_hypergraph(gc, t)).edges)
         if lhs != rhs:
@@ -281,18 +240,18 @@ def check_gap_corollary(g: Graph, numbers=None, co_numbers=None) -> TheoremRepor
     twins = detect_twins(g)
     report = TheoremReport("cor2", _describe(g))
     for d in DOMINATION_KINDS:
-        for s, t, hypothesis in COMPLEMENT_PAIRS:
+        for s, t in COMPLEMENT_PAIRS:
             a, b = s + d, t + d
-            if (a, s) not in _WITHIN_ONE or (b, t) not in _WITHIN_ONE:
+            if not (_SEP_BOUND[a] == _SEP_BOUND[b] == (1, 1)):
                 continue
             label = "|%s(G)-%s(co-G)|<=1" % (a, b)
             lhs, rhs = numbers[a], co_numbers[b]
-            if any(getattr(twins, name) for name in hypothesis) or not (lhs.feasible and rhs.feasible):
+            if not twins.admissible[s] or not (lhs.feasible and rhs.feasible):
                 report.skipped.append(label)
                 continue
             report.quantities[label] = (lhs.tau, rhs.tau)
             if abs(lhs.tau - rhs.tau) > 1:
-                report.fail(g, label, {a: lhs.tau, b: rhs.tau})
+                report.fail(g, label, {"lhs": lhs.as_dict(), "rhs": rhs.as_dict()})
     return report
 
 

@@ -10,6 +10,7 @@ Criterion 3 checks the k=4 entries like every other.
 """
 
 import json
+import random
 import time
 
 import pytest
@@ -26,14 +27,13 @@ from sepcodes.reductions import (
     padded_test_choice,
     solve_test_cover,
     tiny_instances,
+    validate_test_cover,
     verify_reduction_iff,
 )
 from sepcodes.separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 from sepcodes.theorems import (
     all_numbers,
-    augment_to_sd_code,
-    augment_to_std_code_li,
-    augment_to_std_code_of,
+    augment_to_code,
     check_inequalities,
     spider_closed_forms,
 )
@@ -188,16 +188,15 @@ def crit7_report():
     checked = 0
     for g, s, c in _witness_stream():
         checked += 1
-        out = augment_to_sd_code(g, s, c)
+        out = augment_to_code(g, s + "D", c)
         if not (is_x_code(g, s + "D", out) and len(out) <= len(c) + 1):
             violations.append({"op": "sd", "kind": s, "edges": g.edges()})
         if any(not g.adj[v] for v in range(g.n)):
             continue
+        out = augment_to_code(g, s + "TD", c)
         if s in ("O", "F"):
-            out = augment_to_std_code_of(g, s, c)
             ok = is_x_code(g, s + "TD", out) and len(out) <= len(c) + 1
         else:
-            out = augment_to_std_code_li(g, s, c)
             ok = is_x_code(g, s + "TD", out) and len(out) <= 2 * len(c)
         if not ok:
             violations.append({"op": "std", "kind": s, "edges": g.edges()})
@@ -374,6 +373,37 @@ def test_criterion_8_reduction_iff():
     assert len(rep["f_deep_iff"]) >= 3 and all(rep["f_deep_iff"])
     assert not rep["lemma_violations"], rep["lemma_violations"]
     assert elapsed < 900 + 1800  # 15 min for I/L/O plus the 30 min F budget
+
+
+def _random_valid_instances(count, items, tests, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        collection = [{u for u in range(items) if rng.random() < 0.5} for _ in range(tests)]
+        inst = TestCoverInstance.of(items, collection, 1)
+        if validate_test_cover(inst):
+            out.append(inst)
+    return out
+
+
+def test_reduction_iff_past_the_tiny_family():
+    # criterion 8 stops at 4 items and 4 tests; here 5 and 5, each at its
+    # budget tau - 1 (a NO instance) and tau (a YES instance)
+    t0 = time.time()
+    bad = []
+    largest = {}
+    for inst in _random_valid_instances(6, 5, 5, CATALOG_SEED):
+        tau = solve_test_cover(inst).tau
+        for budget in (tau - 1, tau):
+            sized = TestCoverInstance.of(inst.num_items, inst.tests, budget)
+            for s in ("I", "O", "F", "L"):
+                if not verify_reduction_iff(sized, s):
+                    bad.append((s, sorted(map(sorted, inst.tests)), budget))
+                largest[s] = max(largest.get(s, 0), build_reduction(sized, s).graph.n)
+    elapsed = time.time() - t0
+    assert not bad, bad
+    assert largest["L"] > 48 and largest["F"] > 48, largest
+    assert elapsed < 30
 
 
 def test_criterion_9_determinism():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,3 +191,15 @@ def test_parse_errors_carry_line_numbers(text):
     with pytest.raises(GraphParseError) as info:
         parse_graph(text)
     assert info.value.line >= 1
+
+
+def test_parse_long_path_in_linear_time():
+    n = 100_001
+    text = "%d %d\n" % (n, n - 1) + "".join("%d %d\n" % (v, v + 1) for v in range(n - 1))
+    t0 = time.time()
+    g = parse_graph(text)
+    assert time.time() - t0 < 5
+    assert g.num_edges() == n - 1
+    with pytest.raises(GraphParseError) as info:
+        parse_graph("%d %d\n" % (n, n) + text.split("\n", 1)[1] + "5 6\n")
+    assert info.value.line == n + 1 and "duplicate edge 5 6" in str(info.value)

@@ -3,13 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcodes.graphs import Graph, complement, detect_twins, make_family
+from sepcodes.hypergraphs import CoverResult
 from sepcodes.separation import is_x_code, number, x_number_bruteforce
 from sepcodes.theorems import (
     FIG2_ARROWS,
     all_numbers,
-    augment_to_sd_code,
-    augment_to_std_code_li,
-    augment_to_std_code_of,
+    augment_to_code,
     check_complement_duality,
     check_gap_corollary,
     check_inequalities,
@@ -48,7 +47,7 @@ def test_all_numbers_keys():
 def test_sd_augment_noop_when_dominating():
     g = make_family("path", 5)
     c = number(g, "L").witness
-    out = augment_to_sd_code(g, "L", c)
+    out = augment_to_code(g, "LD", c)
     assert is_x_code(g, "LD", out)
     assert len(out) <= len(c) + 1
 
@@ -57,7 +56,7 @@ def test_sd_augment_thin_spider_closed_sep():
     g = make_family("thin_spider", 4)
     c = number(g, "I").witness
     assert len(c) == 5
-    out = augment_to_sd_code(g, "I", c)
+    out = augment_to_code(g, "ID", c)
     assert is_x_code(g, "ID", out)
     assert len(out) <= 6
 
@@ -65,14 +64,14 @@ def test_sd_augment_thin_spider_closed_sep():
 def test_sd_augment_rejects_non_set():
     g = make_family("clique", 3)
     with pytest.raises(ValueError):
-        augment_to_sd_code(g, "I", frozenset({0}))
+        augment_to_code(g, "ID", frozenset({0}))
 
 
 def test_std_of_augment_thin_spider():
     g = make_family("thin_spider", 4)
     c = number(g, "O").witness
     assert len(c) == 3
-    out = augment_to_std_code_of(g, "O", c)
+    out = augment_to_code(g, "OTD", c)
     assert is_x_code(g, "OTD", out)
     assert len(out) <= 4
 
@@ -81,7 +80,7 @@ def test_std_of_augment_full_sep():
     g = make_family("thin_spider", 5)
     c = number(g, "F").witness
     assert len(c) == 8
-    out = augment_to_std_code_of(g, "F", c)
+    out = augment_to_code(g, "FTD", c)
     assert is_x_code(g, "FTD", out)
     assert len(out) <= 9
 
@@ -89,16 +88,16 @@ def test_std_of_augment_full_sep():
 def test_std_of_rejects_wrong_kind_and_isolated():
     g = make_family("path", 4)
     with pytest.raises(ValueError):
-        augment_to_std_code_of(g, "L", number(g, "L").witness)
+        augment_to_code(g, "L", number(g, "L").witness)
     iso = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
-        augment_to_std_code_of(iso, "O", frozenset({0, 2}))
+        augment_to_code(iso, "OTD", frozenset({0, 2}))
 
 
 def test_std_li_augment_thin_spider():
     g = make_family("thin_spider", 4)
     c = number(g, "I").witness
-    out = augment_to_std_code_li(g, "I", c)
+    out = augment_to_code(g, "ITD", c)
     assert is_x_code(g, "ITD", out)
     assert len(out) <= 2 * len(c)
 
@@ -106,7 +105,7 @@ def test_std_li_augment_thin_spider():
 def test_std_li_noop_when_total_dominating():
     g = make_family("cycle", 6)
     c = frozenset(range(6))
-    out = augment_to_std_code_li(g, "L", c)
+    out = augment_to_code(g, "LTD", c)
     assert out == c
 
 
@@ -117,15 +116,14 @@ def test_augmentations_on_minimum_witnesses(g, s):
     if not res.feasible:
         return
     c = res.witness
-    out = augment_to_sd_code(g, s, c)
+    out = augment_to_code(g, s + "D", c)
     assert is_x_code(g, s + "D", out) and len(out) <= len(c) + 1
     if any(not g.adj[v] for v in range(g.n)):
         return
+    out = augment_to_code(g, s + "TD", c)
     if s in ("O", "F"):
-        out = augment_to_std_code_of(g, s, c)
         assert is_x_code(g, s + "TD", out) and len(out) <= len(c) + 1
     else:
-        out = augment_to_std_code_li(g, s, c)
         assert is_x_code(g, s + "TD", out) and len(out) <= 2 * len(c)
 
 
@@ -220,6 +218,19 @@ def test_gap_corollary_spiders():
     assert report.passed
     lhs, rhs = report.quantities["|FD(G)-FD(co-G)|<=1"]
     assert lhs == rhs == 6
+
+
+def test_gap_corollary_counterexample_keeps_both_sides():
+    # LD pairs with LD, so a payload keyed by kind would keep one side only
+    g = make_family("path", 5)
+    co_numbers = all_numbers(complement(g))
+    co_numbers["LD"] = CoverResult(True, 4, frozenset({0, 1, 2, 3}))
+    report = check_gap_corollary(g, co_numbers=co_numbers)
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["item"] == "|LD(G)-LD(co-G)|<=1"
+    assert ce["lhs"] == number(g, "LD").as_dict() and ce["lhs"]["number"] == 2
+    assert ce["rhs"]["number"] == 4
 
 
 def test_gap_corollary_skips_infeasible_side():
