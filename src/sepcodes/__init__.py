@@ -24,6 +24,7 @@ from .graphs import (
 )
 from .hypergraphs import (
     CoverResult,
+    EdgeMasks,
     Hypergraph,
     complete_rose,
     covering_number,
@@ -49,7 +50,7 @@ from .reductions import (
     validate_test_cover,
     verify_reduction_iff,
 )
-from .separation import code_hypergraph, is_x_code, number, x_number_bruteforce
+from .separation import code_hypergraph, code_masks, is_x_code, number, x_number_bruteforce
 from .theorems import (
     TheoremReport,
     all_numbers,

@@ -9,6 +9,7 @@ usage error, 2 infeasible or failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +22,7 @@ from .graphs import (
     make_family,
     parse_graph,
 )
-from .hypergraphs import format_hypergraph, reduce_to_clutter
+from .hypergraphs import format_hypergraph
 from .kinds import ALL_KINDS
 from .reductions import (
     build_reduction,
@@ -31,7 +32,7 @@ from .reductions import (
     parse_test_cover,
     verify_reduction_iff,
 )
-from .separation import code_hypergraph, is_x_code, number
+from .separation import code_hypergraph, code_masks, is_x_code, number
 from .theorems import check_spider_formulas, check_theorem, spider_closed_forms
 
 DEFAULT_GUARD = 40
@@ -174,9 +175,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_dump(args) -> int:
     g = _load_graph(args.graph)
-    h = code_hypergraph(g, args.kind)
-    if not args.raw:
-        h = reduce_to_clutter(h)
+    if args.raw:
+        h = code_hypergraph(g, args.kind)
+    else:
+        h = code_masks(g, args.kind).clutter().sets()
     text = format_hypergraph(h)
     if args.out:
         _write_out(args.out, text)
@@ -210,6 +212,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s%s: error: %s" % (self.format_usage(), self.prog, message))
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="sepcodes",
                  description="Exact separation sets and identification codes in graphs.")

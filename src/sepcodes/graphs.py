@@ -1,8 +1,9 @@
 """Simple undirected graphs, neighborhoods, twins and named families.
 
-Vertices are the integers 0..n-1.  Vertex sets are plain frozensets, which
-are the common currency of the whole package (neighborhoods, hyperedges,
-covers, codes).
+Vertices are the integers 0..n-1.  Vertex sets in the public API are plain
+frozensets (neighborhoods, hyperedges, covers, codes).  The solver works on
+int bitmasks instead (bit v = vertex v), from building a code hypergraph to
+the search, and converts to frozensets only where a result leaves it.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def detect_twins(g: Graph) -> AdmissibilityReport:
 FAMILY_NAMES = ("path", "cycle", "clique", "star", "empty", "thin_spider", "thick_spider")
 
 
-# Vertices plus edges of the largest family graph make_family builds.
+# Vertices plus edges of the largest graph make_family builds or parse_graph
+# accepts.
 _FAMILY_SIZE_CAP = 10**6
 
 
@@ -230,6 +232,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError("non-integer header", lineno)
             if n < 1 or m < 0:
                 raise GraphParseError("need n >= 1 and m >= 0", lineno)
+            if n + m > _FAMILY_SIZE_CAP:
+                raise GraphParseError("header gives %d vertices and %d edges, over the cap of "
+                                      "%d vertices plus edges" % (n, m, _FAMILY_SIZE_CAP), lineno)
             header = (n, m)
             continue
         if len(parts) != 2:

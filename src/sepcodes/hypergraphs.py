@@ -8,7 +8,11 @@ an independent oracle.  The search runs on each connected component of the
 clutter on its own: components share no vertex, so tau is the sum of the
 per-component values.
 
-Inside the solver, one search (`_search`) runs over residual edge bitmasks.
+Inside the solver every edge is an int bitmask (bit v = vertex v), from the
+clutter step (`EdgeMasks.clutter`) through the one search (`_search`).  A
+hypergraph comes in two forms: `Hypergraph` (frozenset edges, the public
+view) and `EdgeMasks` (the same edges as bitmasks); `Hypergraph.masks` and
+`EdgeMasks.sets` convert between them, and the solver takes either.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "Hypergraph",
+    "EdgeMasks",
     "CoverResult",
     "is_cover",
     "reduce_to_clutter",
@@ -36,6 +41,39 @@ BRUTEFORCE_GUARD = 24
 class Hypergraph:
     n: int
     edges: tuple[frozenset[int], ...]
+
+    def masks(self) -> EdgeMasks:
+        """The same edges, in the same order, as bitmasks."""
+        return EdgeMasks(self.n, tuple(sum(1 << v for v in e) for e in self.edges))
+
+
+@dataclass(frozen=True)
+class EdgeMasks:
+    """A hypergraph whose edges are int bitmasks (bit v = vertex v): the
+    form the solver works on."""
+
+    n: int
+    edges: tuple[int, ...]
+
+    def masks(self) -> EdgeMasks:
+        return self
+
+    def sets(self) -> Hypergraph:
+        """The same edges, in the same order, as frozensets."""
+        return Hypergraph(self.n, tuple(frozenset(_bits(m)) for m in self.edges))
+
+    def clutter(self) -> EdgeMasks:
+        """The inclusion-minimal edges, deduplicated, ordered by size and
+        then by first position (a stable sort).  An edge is kept unless an
+        already kept one, which is no larger, is a subset of it."""
+        kept = []
+        for m in sorted(dict.fromkeys(self.edges), key=int.bit_count):
+            for k in kept:
+                if k & m == k:
+                    break
+            else:
+                kept.append(m)
+        return EdgeMasks(self.n, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -66,16 +104,12 @@ def is_cover(h: Hypergraph, c: frozenset[int]) -> bool:
 
 
 def reduce_to_clutter(h: Hypergraph) -> Hypergraph:
-    """Keep only the inclusion-minimal hyperedges, deduplicated.
+    """Keep only the inclusion-minimal hyperedges, deduplicated, ordered by
+    size, then by first position in h.
 
     Covers are unchanged: a superset edge is met whenever its subset is.
     """
-    uniq = sorted(set(h.edges), key=lambda e: (len(e), sorted(e)))
-    minimal = []
-    for e in uniq:
-        if not any(m <= e for m in minimal):
-            minimal.append(e)
-    return Hypergraph(h.n, tuple(minimal))
+    return h.masks().clutter().sets()
 
 
 def complete_rose(n: int, q: int) -> Hypergraph:
@@ -105,11 +139,13 @@ def _bits(x: int):
         x ^= b
 
 
-def _search(masks, best: int, lex: bool = False):
+def _search(masks, best: int, lex: bool = False, first: bool = False):
     """Depth-first branch and bound for a cover smaller than `best`.
 
     Returns (size, cover): plain mode gives the smallest size (`best` if
     none is smaller) and None, lex mode the first cover as a bitmask.
+    With `first`, plain mode returns the size of the first cover it finds
+    below `best` (the greedy cover included), not the smallest.
     The stack is explicit, so the depth is not bounded by the recursion limit.
 
     A stack node is (edges, chosen, size, take, ban), where `edges` is the
@@ -140,7 +176,10 @@ def _search(masks, best: int, lex: bool = False):
             v = max(counts, key=lambda x: (counts[x], -x))
             chosen |= 1 << v
             work = [m for m in work if not (m & chosen)]
-        best = min(best, chosen.bit_count())
+        if chosen.bit_count() < best:
+            best = chosen.bit_count()
+            if first:
+                return best, None
 
     stack = [(masks, 0, 0, 0, 0)]
     while stack:
@@ -179,6 +218,8 @@ def _search(masks, best: int, lex: bool = False):
                     if lex:
                         return size, chosen
                     best = size
+                    if first:
+                        return best, None
                 elif size + bound < best:
                     if lex:
                         v = live & -live
@@ -191,15 +232,6 @@ def _search(masks, best: int, lex: bool = False):
     if lex:
         raise AssertionError("no cover of size tau found; solver bug")
     return best, None
-
-
-def _clutter_masks(h: Hypergraph):
-    """The clutter edges of h as bitmasks, or None when h has an empty edge
-    (no cover exists); an empty list means every set is a cover."""
-    clutter = reduce_to_clutter(h)
-    if any(not e for e in clutter.edges):
-        return None
-    return [sum(1 << v for v in e) for e in clutter.edges]
 
 
 def _components(masks):
@@ -223,8 +255,9 @@ def _components(masks):
     return [[m for m in masks if m & s] for s in supports]
 
 
-def covering_number(h: Hypergraph) -> CoverResult:
-    """Exact minimum cover via branch and bound on the clutter of h.
+def covering_number(h: Hypergraph | EdgeMasks) -> CoverResult:
+    """Exact minimum cover via branch and bound on the clutter of h, given
+    in either form.
 
     The witness is the minimum cover whose sorted vertex tuple is smallest,
     which makes repeated runs byte-identical.  Each connected component K
@@ -246,33 +279,32 @@ def covering_number(h: Hypergraph) -> CoverResult:
       C, so C_K precedes W_K, which contradicts the choice of W_K as K's
       lex-min witness.
     """
-    masks = _clutter_masks(h)
-    if masks is None:
+    masks = h.masks().clutter().edges
+    if masks and not masks[0]:  # an empty edge sorts first
         return CoverResult(False, None, None)
-    tau = 0
-    witness = frozenset()
+    tau = witness = 0
     for comp in _components(masks):
-        t, _ = _search(comp, h.n + 1)
+        t, _ = _search(comp, len(comp) + 1)
         tau += t
-        witness |= frozenset(_bits(_search(comp, t + 1, lex=True)[1]))
-    return CoverResult(True, tau, witness)
+        witness |= _search(comp, t + 1, lex=True)[1]
+    return CoverResult(True, tau, frozenset(_bits(witness)))
 
 
-def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
+def covering_number_at_most(h: Hypergraph | EdgeMasks, budget: int) -> bool:
     """Decide whether some cover of size <= budget exists.
 
     Same search as covering_number, run per connected component of the
     clutter, smallest first, with the incumbent capped at what the budget
     leaves for that component: every component still to solve needs at
     least one vertex.  The answer is False as soon as one component exceeds
-    its cap.  A component that fits its cap is still solved to its exact
-    optimum, which later caps need; the last one is too, although its fit
-    already settles the answer.
+    its cap.  A component that fits its cap is solved to its exact optimum,
+    which later caps need, except the last one: its fit settles the answer,
+    so its search stops at the first cover within its cap.
     """
     if budget < 0:
         return False
-    masks = _clutter_masks(h)
-    if masks is None:
+    masks = h.masks().clutter().edges
+    if masks and not masks[0]:
         return False
     comps = sorted(_components(masks), key=len)
     left = budget
@@ -280,7 +312,7 @@ def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
         cap = left - (len(comps) - 1 - i)
         if cap < 1:
             return False
-        t, _ = _search(comp, cap + 1)
+        t, _ = _search(comp, cap + 1, first=i == len(comps) - 1)
         if t > cap:
             return False
         left -= t

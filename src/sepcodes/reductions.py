@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, complement
 from .hypergraphs import CoverResult, Hypergraph, covering_number, covering_number_at_most
-from .separation import code_hypergraph, is_x_code
+from .separation import code_masks, is_x_code
 
 __all__ = [
     "TestCoverInstance",
@@ -362,7 +362,7 @@ def verify_reduction_iff(inst: TestCoverInstance, s: str) -> bool:
     art = build_reduction(inst, s)
     tc = solve_test_cover(inst)
     lhs = tc.feasible and tc.tau <= inst.budget
-    rhs = covering_number_at_most(code_hypergraph(art.graph, s), art.k)
+    rhs = covering_number_at_most(code_masks(art.graph, s), art.k)
     return lhs == rhs
 
 

@@ -8,9 +8,11 @@ depends only on the property and on whether the pair is adjacent (the
 recipe table below); domination adds the closed or open neighborhood of
 every vertex.  Two deliberately redundant routes are exposed: `is_x_code`
 works from the neighborhood definitions, while `number` computes the
-covering number of `code_hypergraph`.  Their agreement, checked by
+covering number of the code hypergraph.  Their agreement, checked by
 `x_number_bruteforce`, is the executable form of the hypergraph
-characterization.
+characterization.  One builder (`_code_edges`) gives the edges in both
+forms: as bitmasks (`code_masks`), which `number` hands to the solver as
+they are, and as frozensets (`code_hypergraph`), the public view.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, closed_neighborhood, open_neighborhood
-from .hypergraphs import CoverResult, Hypergraph, covering_number
+from .hypergraphs import CoverResult, EdgeMasks, Hypergraph, covering_number
 from .kinds import split_code_kind
 
 __all__ = [
     "code_hypergraph",
+    "code_masks",
     "is_x_code",
     "number",
     "x_number_bruteforce",
@@ -41,8 +44,10 @@ _SEP_RECIPE = {
 }
 
 
-def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
-    """Raw hypergraph whose covers are the sets of the given kind.
+def _code_edges(g: Graph, kind: str, opn, closed) -> list:
+    """The edges of the code hypergraph, from the open and closed
+    neighborhoods `opn` and `closed` of every vertex, given as bitmasks or
+    as frozensets: `^` is the symmetric difference of either.
 
     The separation part gives one hyperedge per vertex pair, the symmetric
     difference of the neighborhoods its recipe names: first the adjacent
@@ -51,7 +56,7 @@ def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
     of every vertex, in vertex order.
     """
     sep, dom = split_code_kind(kind)
-    nbhd = {"open": g.adj, "closed": [g.adj[v] | {v} for v in range(g.n)]}
+    nbhd = {"open": opn, "closed": closed}
     edges = []
     if sep is not None:
         adj_nb, non_nb = (nbhd[t] for t in _SEP_RECIPE[sep])
@@ -64,7 +69,20 @@ def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
         edges += non
     if dom is not None:
         edges += nbhd["closed" if dom == "D" else "open"]
-    return Hypergraph(g.n, tuple(edges))
+    return edges
+
+
+def code_masks(g: Graph, kind: str) -> EdgeMasks:
+    """The edges of `code_hypergraph`, in its order, as bitmasks."""
+    opn = [sum(1 << u for u in a) for a in g.adj]
+    closed = [m | 1 << v for v, m in enumerate(opn)]
+    return EdgeMasks(g.n, tuple(_code_edges(g, kind, opn, closed)))
+
+
+def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
+    """Raw hypergraph whose covers are the sets of the given kind."""
+    closed = [a | {v} for v, a in enumerate(g.adj)]
+    return Hypergraph(g.n, tuple(_code_edges(g, kind, g.adj, closed)))
 
 
 def _separates(g: Graph, s: str, c: frozenset[int]) -> bool:
@@ -109,7 +127,7 @@ def is_x_code(g: Graph, kind: str, c: frozenset[int]) -> bool:
 
 def number(g: Graph, kind: str) -> CoverResult:
     """Minimum set of any kind (separation, domination or code)."""
-    return covering_number(code_hypergraph(g, kind))
+    return covering_number(code_masks(g, kind))
 
 
 def _bruteforce_min(g: Graph, accept) -> CoverResult:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, complement, detect_twins, make_family
-from .hypergraphs import reduce_to_clutter
 from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS, split_code_kind
-from .separation import code_hypergraph, is_x_code, number
+from .separation import code_masks, is_x_code, number
 
 __all__ = [
     "TheoremReport",
@@ -216,13 +215,14 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
 
     # clutter identities; these hold with no twin hypothesis
     for s, t in COMPLEMENT_PAIRS:
-        lhs = set(reduce_to_clutter(code_hypergraph(g, s)).edges)
-        rhs = set(reduce_to_clutter(code_hypergraph(gc, t)).edges)
-        if lhs != rhs:
+        lhs = code_masks(g, s).clutter()
+        rhs = code_masks(gc, t).clutter()
+        if set(lhs.edges) != set(rhs.edges):
             report.fail(
                 g,
                 "clutter:%s(G)=%s(co-G)" % (s, t),
-                {"lhs": sorted(map(sorted, lhs)), "rhs": sorted(map(sorted, rhs))},
+                {"lhs": sorted(map(sorted, lhs.sets().edges)),
+                 "rhs": sorted(map(sorted, rhs.sets().edges))},
             )
     return report
 

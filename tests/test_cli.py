@@ -82,6 +82,29 @@ def test_usage_errors_exit_1(capsys, h4):
     assert exc.value.code == 0
 
 
+def test_one_process_runs_several_commands(capsys, h4):
+    # the parser is built once per process and reused by every main() call
+    first = [run(capsys, ["compute", "--graph", h4, "--kind", "LD"]),
+             run(capsys, ["verify", "--graph", h4, "--theorems", "7"])]
+    code, out, err = run(capsys, ["compute", "--graph", h4])
+    assert code == 1 and not out and "required: --kind" in err
+    again = [run(capsys, ["compute", "--graph", h4, "--kind", "LD"]),
+             run(capsys, ["verify", "--graph", h4, "--theorems", "7"])]
+    assert again == first
+    assert [code for code, _, _ in first] == [0, 0]
+    assert json.loads(first[0][1])["number"] == 4
+    assert json.loads(first[1][1])["all_passed"]
+
+
+def test_compute_refuses_an_oversized_header(capsys, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000 1\n0 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["compute", "--graph", str(huge), "--kind", "D"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and "line 1" in err and "over the cap" in err
+
+
 def test_verify_all_pass(capsys, h4):
     code, out, _ = run(capsys, ["verify", "--graph", h4])
     assert code == 0

@@ -193,6 +193,14 @@ def test_parse_errors_carry_line_numbers(text):
     assert info.value.line >= 1
 
 
+def test_parse_refuses_headers_over_the_size_cap():
+    # refused on the header, before any vertex is allocated
+    for header in ("1000000 1", "999999 2", "1000000000 0"):
+        with pytest.raises(GraphParseError) as info:
+            parse_graph("%s\n0 1\n" % header)
+        assert info.value.line == 1 and "over the cap of 1000000" in str(info.value), header
+
+
 def test_parse_long_path_in_linear_time():
     n = 100_001
     text = "%d %d\n" % (n, n - 1) + "".join("%d %d\n" % (v, v + 1) for v in range(n - 1))

@@ -104,6 +104,17 @@ def test_covering_at_most():
     assert not covering_number_at_most(three, 2)
     assert not covering_number_at_most(three, 0)
     assert covering_number_at_most(three, 3)
+    # the path 3-2-0-4-1: greedy takes 0 first and ends with 3 vertices, so
+    # the decision must search past its greedy cover to find {2, 4}
+    path = hg(5, [{0, 2}, {0, 4}, {1, 4}, {2, 3}])
+    assert covering_number_at_most(path, 2)
+    assert not covering_number_at_most(path, 1)
+    # with K4 on 5..8 (tau 3, more edges) after it, the path is not the last
+    # component: it must be solved exactly, or K4's cap drops to 2
+    k4 = [{u, v} for u in range(5, 9) for v in range(u + 1, 9)]
+    both = hg(9, path.edges + tuple(k4))
+    assert covering_number_at_most(both, 5)
+    assert not covering_number_at_most(both, 4)
 
 
 def test_rose_counts():
@@ -144,6 +155,25 @@ def test_solver_matches_bruteforce(h):
         assert not covering_number_at_most(h, a.tau - 1)
     else:
         assert not covering_number_at_most(h, h.n)
+
+
+@given(hypergraphs())
+@settings(max_examples=200, deadline=None)
+def test_clutter_is_the_minimal_edges_in_size_order(h):
+    minimal = {e for e in h.edges if not any(f < e for f in h.edges)}
+    edges = reduce_to_clutter(h).edges
+    assert len(edges) == len(set(edges))
+    assert set(edges) == minimal
+    assert [len(e) for e in edges] == sorted(len(e) for e in edges)
+
+
+@given(joined_hypergraphs())
+@settings(max_examples=150, deadline=None)
+def test_capped_decision_matches_tau_on_every_budget(h):
+    # the last component's search stops at its first cover within its cap
+    tau = covering_number(h).tau
+    for budget in range(-1, tau + 2):
+        assert covering_number_at_most(h, budget) == (tau <= budget), budget
 
 
 @given(hypergraphs())

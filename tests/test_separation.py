@@ -23,7 +23,7 @@ from sepcodes.hypergraphs import (
 )
 from sepcodes.kinds import ALL_KINDS, CODE_KINDS, SEPARATION_KINDS, split_code_kind
 from sepcodes.reductions import build_reduction, tiny_instances
-from sepcodes.separation import code_hypergraph, is_x_code, number, x_number_bruteforce
+from sepcodes.separation import code_hypergraph, code_masks, is_x_code, number, x_number_bruteforce
 
 
 def graphs(max_n=6):
@@ -99,6 +99,24 @@ def test_separation_hypergraph_recipes():
             dom_edges = tuple(nbhd[kind](g, v) for v in range(g.n))
             assert code_hypergraph(g, s + dom).edges == h.edges + dom_edges, s + dom
     assert all(e for e in code_hypergraph(make_family("path", 4), "I").edges)
+
+
+def test_code_hypergraph_edge_order_is_pinned():
+    # the raw edge order of every kind, as its recipe lays it out; a change
+    # moves this digest.  The bitmask form has the same edges in that order.
+    graphs = [make_family("path", 6), make_family("cycle", 5), make_family("star", 3),
+              make_family("thin_spider", 3), make_family("clique", 3),
+              Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for kind in ALL_KINDS:
+            digest.update(("%s\n" % kind).encode())
+            h = code_hypergraph(g, kind)
+            assert h.masks() == code_masks(g, kind) and code_masks(g, kind).sets() == h
+            for e in h.edges:
+                digest.update((" ".join(map(str, sorted(e))) + "\n").encode())
+    assert digest.hexdigest() == (
+        "31039e47d656897c40ecc7af4acb7d0eac8b9d09260aeccd2e5da9b5a26b42d0")
 
 
 def test_open_twins_give_empty_edge():
