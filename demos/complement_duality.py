@@ -3,7 +3,8 @@
 Locating numbers coincide for a graph and its complement; closed and open
 separation swap roles (absent the corresponding twins); full separation is
 self-dual on twin-free graphs.  The script checks this on a small catalog
-and prints the underlying clutter identity for one example.
+and prints the underlying clutter identity for one example: the clutter
+(`Hypergraph.clutter`) of each side's code hypergraph, in dump format.
 
 Run: PYTHONPATH=src python3 demos/complement_duality.py
 """
@@ -14,7 +15,6 @@ from sepcodes import (
     complement,
     format_hypergraph,
     make_family,
-    reduce_to_clutter,
 )
 
 GRAPHS = [
@@ -33,6 +33,6 @@ if __name__ == "__main__":
     print()
     g = make_family("path", 4)
     print("clutter of the closed-separation hypergraph of P4:")
-    print(format_hypergraph(reduce_to_clutter(code_hypergraph(g, "I"))))
+    print(format_hypergraph(code_hypergraph(g, "I").clutter()))
     print("clutter of the open-separation hypergraph of its complement:")
-    print(format_hypergraph(reduce_to_clutter(code_hypergraph(complement(g), "O"))))
+    print(format_hypergraph(code_hypergraph(complement(g), "O").clutter()))

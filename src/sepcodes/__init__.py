@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .hypergraphs import (
     CoverResult,
-    EdgeMasks,
     Hypergraph,
     complete_rose,
     covering_number,
@@ -32,7 +31,6 @@ from .hypergraphs import (
     covering_number_bruteforce,
     format_hypergraph,
     is_cover,
-    reduce_to_clutter,
 )
 from .kinds import ALL_KINDS, CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS
 from .reductions import (
@@ -50,7 +48,7 @@ from .reductions import (
     validate_test_cover,
     verify_reduction_iff,
 )
-from .separation import code_hypergraph, code_masks, is_x_code, number, x_number_bruteforce
+from .separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 from .theorems import (
     TheoremReport,
     all_numbers,

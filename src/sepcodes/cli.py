@@ -32,7 +32,7 @@ from .reductions import (
     parse_test_cover,
     verify_reduction_iff,
 )
-from .separation import code_hypergraph, code_masks, is_x_code, number
+from .separation import code_hypergraph, is_x_code, number
 from .theorems import check_spider_formulas, check_theorem, spider_closed_forms
 
 DEFAULT_GUARD = 40
@@ -175,10 +175,9 @@ def cmd_reduce(args) -> int:
 
 def cmd_dump(args) -> int:
     g = _load_graph(args.graph)
-    if args.raw:
-        h = code_hypergraph(g, args.kind)
-    else:
-        h = code_masks(g, args.kind).clutter().sets()
+    h = code_hypergraph(g, args.kind)
+    if not args.raw:
+        h = h.clutter()
     text = format_hypergraph(h)
     if args.out:
         _write_out(args.out, text)

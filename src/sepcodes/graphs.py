@@ -1,9 +1,9 @@
 """Simple undirected graphs, neighborhoods, twins and named families.
 
 Vertices are the integers 0..n-1.  Vertex sets in the public API are plain
-frozensets (neighborhoods, hyperedges, covers, codes).  The solver works on
-int bitmasks instead (bit v = vertex v), from building a code hypergraph to
-the search, and converts to frozensets only where a result leaves it.
+frozensets (neighborhoods, covers, codes, witnesses).  Hyperedges are int
+bitmasks (bit v = vertex v), from `code_hypergraph` to the search;
+`Hypergraph.sets` gives them as frozensets.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def detect_twins(g: Graph) -> AdmissibilityReport:
 FAMILY_NAMES = ("path", "cycle", "clique", "star", "empty", "thin_spider", "thick_spider")
 
 
-# Vertices plus edges of the largest graph make_family builds or parse_graph
-# accepts.
-_FAMILY_SIZE_CAP = 10**6
+# Vertices plus edges of the largest graph make_family or build_reduction
+# builds, or parse_graph accepts.
+GRAPH_SIZE_CAP = 10**6
 
 
 def make_family(name: str, size: int) -> Graph:
@@ -170,9 +170,9 @@ def make_family(name: str, size: int) -> Graph:
         "thin_spider": (2 * k, k * (k + 1) // 2),
         "thick_spider": (2 * k, 3 * k * (k - 1) // 2),
     }.get(name, (0, 0))
-    if n + m > _FAMILY_SIZE_CAP:
+    if n + m > GRAPH_SIZE_CAP:
         raise ValueError("%s of size %d would have %d vertices and %d edges, over the cap "
-                         "of %d vertices plus edges" % (name, size, n, m, _FAMILY_SIZE_CAP))
+                         "of %d vertices plus edges" % (name, size, n, m, GRAPH_SIZE_CAP))
     if name == "path":
         if size < 1:
             raise ValueError("path needs size >= 1")
@@ -232,9 +232,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError("non-integer header", lineno)
             if n < 1 or m < 0:
                 raise GraphParseError("need n >= 1 and m >= 0", lineno)
-            if n + m > _FAMILY_SIZE_CAP:
+            if n + m > GRAPH_SIZE_CAP:
                 raise GraphParseError("header gives %d vertices and %d edges, over the cap of "
-                                      "%d vertices plus edges" % (n, m, _FAMILY_SIZE_CAP), lineno)
+                                      "%d vertices plus edges" % (n, m, GRAPH_SIZE_CAP), lineno)
             header = (n, m)
             continue
         if len(parts) != 2:

@@ -1,18 +1,14 @@
 """Hypergraphs, covers and an exact minimum-cover solver.
 
-A hypergraph is a universe 0..n-1 plus a list of hyperedges (frozensets).
+A hypergraph is a universe 0..n-1 plus a list of hyperedges, each an int
+bitmask (bit v = vertex v) from the builder through the clutter step to the
+search; `Hypergraph.sets` is the frozenset view for output and tests.
 Covers are vertex sets meeting every hyperedge; the covering number tau is
 computed exactly by branch and bound on the clutter (the inclusion-minimal,
 duplicate-free hyperedges), with a brute-force enumerator kept alongside as
 an independent oracle.  The search runs on each connected component of the
 clutter on its own: components share no vertex, so tau is the sum of the
 per-component values.
-
-Inside the solver every edge is an int bitmask (bit v = vertex v), from the
-clutter step (`EdgeMasks.clutter`) through the one search (`_search`).  A
-hypergraph comes in two forms: `Hypergraph` (frozenset edges, the public
-view) and `EdgeMasks` (the same edges as bitmasks); `Hypergraph.masks` and
-`EdgeMasks.sets` convert between them, and the solver takes either.
 """
 
 from __future__ import annotations
@@ -23,10 +19,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "Hypergraph",
-    "EdgeMasks",
     "CoverResult",
     "is_cover",
-    "reduce_to_clutter",
     "covering_number",
     "covering_number_at_most",
     "covering_number_bruteforce",
@@ -39,33 +33,22 @@ BRUTEFORCE_GUARD = 24
 
 @dataclass(frozen=True)
 class Hypergraph:
-    n: int
-    edges: tuple[frozenset[int], ...]
-
-    def masks(self) -> EdgeMasks:
-        """The same edges, in the same order, as bitmasks."""
-        return EdgeMasks(self.n, tuple(sum(1 << v for v in e) for e in self.edges))
-
-
-@dataclass(frozen=True)
-class EdgeMasks:
-    """A hypergraph whose edges are int bitmasks (bit v = vertex v): the
-    form the solver works on."""
+    """Universe 0..n-1 and hyperedges as int bitmasks (bit v = vertex v)."""
 
     n: int
     edges: tuple[int, ...]
 
-    def masks(self) -> EdgeMasks:
-        return self
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The edges, in their order, as frozensets."""
+        return tuple(frozenset(_bits(m)) for m in self.edges)
 
-    def sets(self) -> Hypergraph:
-        """The same edges, in the same order, as frozensets."""
-        return Hypergraph(self.n, tuple(frozenset(_bits(m)) for m in self.edges))
-
-    def clutter(self) -> EdgeMasks:
+    def clutter(self) -> Hypergraph:
         """The inclusion-minimal edges, deduplicated, ordered by size and
         then by first position (a stable sort).  An edge is kept unless an
-        already kept one, which is no larger, is a subset of it."""
+        already kept one, which is no larger, is a subset of it.
+
+        Covers are unchanged: a superset edge is met whenever its subset is.
+        """
         kept = []
         for m in sorted(dict.fromkeys(self.edges), key=int.bit_count):
             for k in kept:
@@ -73,7 +56,7 @@ class EdgeMasks:
                     break
             else:
                 kept.append(m)
-        return EdgeMasks(self.n, tuple(kept))
+        return Hypergraph(self.n, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -100,29 +83,22 @@ def is_cover(h: Hypergraph, c: frozenset[int]) -> bool:
     """True iff c meets every hyperedge of h."""
     if any(not (0 <= v < h.n) for v in c):
         raise ValueError("cover candidate outside universe")
-    return all(e & c for e in h.edges)
-
-
-def reduce_to_clutter(h: Hypergraph) -> Hypergraph:
-    """Keep only the inclusion-minimal hyperedges, deduplicated, ordered by
-    size, then by first position in h.
-
-    Covers are unchanged: a superset edge is met whenever its subset is.
-    """
-    return h.masks().clutter().sets()
+    mask = sum(1 << v for v in c)
+    return all(e & mask for e in h.edges)
 
 
 def complete_rose(n: int, q: int) -> Hypergraph:
     """All q-subsets of {0..n-1} as hyperedges; tau is n-q+1."""
     if not 2 <= q < n:
         raise ValueError("complete rose needs 2 <= q < n, got q=%d n=%d" % (q, n))
-    return Hypergraph(n, tuple(frozenset(c) for c in itertools.combinations(range(n), q)))
+    combos = itertools.combinations(range(n), q)
+    return Hypergraph(n, tuple(sum(1 << v for v in c) for c in combos))
 
 
 def format_hypergraph(h: Hypergraph) -> str:
     """Dump format: 'n e' header, then one sorted vertex list per edge,
     edges ordered lexicographically."""
-    rows = sorted(sorted(e) for e in h.edges)
+    rows = sorted(list(_bits(m)) for m in h.edges)  # _bits is ascending
     lines = ["%d %d" % (h.n, len(h.edges))]
     lines += [" ".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
@@ -255,9 +231,8 @@ def _components(masks):
     return [[m for m in masks if m & s] for s in supports]
 
 
-def covering_number(h: Hypergraph | EdgeMasks) -> CoverResult:
-    """Exact minimum cover via branch and bound on the clutter of h, given
-    in either form.
+def covering_number(h: Hypergraph) -> CoverResult:
+    """Exact minimum cover via branch and bound on the clutter of h.
 
     The witness is the minimum cover whose sorted vertex tuple is smallest,
     which makes repeated runs byte-identical.  Each connected component K
@@ -279,7 +254,7 @@ def covering_number(h: Hypergraph | EdgeMasks) -> CoverResult:
       C, so C_K precedes W_K, which contradicts the choice of W_K as K's
       lex-min witness.
     """
-    masks = h.masks().clutter().edges
+    masks = h.clutter().edges
     if masks and not masks[0]:  # an empty edge sorts first
         return CoverResult(False, None, None)
     tau = witness = 0
@@ -290,7 +265,7 @@ def covering_number(h: Hypergraph | EdgeMasks) -> CoverResult:
     return CoverResult(True, tau, frozenset(_bits(witness)))
 
 
-def covering_number_at_most(h: Hypergraph | EdgeMasks, budget: int) -> bool:
+def covering_number_at_most(h: Hypergraph, budget: int) -> bool:
     """Decide whether some cover of size <= budget exists.
 
     Same search as covering_number, run per connected component of the
@@ -303,7 +278,7 @@ def covering_number_at_most(h: Hypergraph | EdgeMasks, budget: int) -> bool:
     """
     if budget < 0:
         return False
-    masks = h.masks().clutter().edges
+    masks = h.clutter().edges
     if masks and not masks[0]:
         return False
     comps = sorted(_components(masks), key=len)
@@ -329,10 +304,10 @@ def covering_number_bruteforce(h: Hypergraph) -> CoverResult:
         raise ValueError("universe size %d over brute-force guard %d" % (h.n, BRUTEFORCE_GUARD))
     if any(not e for e in h.edges):
         return CoverResult(False, None, None)
-    support = sorted(set().union(*h.edges)) if h.edges else []
+    support = sorted(set().union(*h.sets()))
     for size in range(len(support) + 1):
         for combo in itertools.combinations(support, size):
-            c = frozenset(combo)
+            c = sum(1 << v for v in combo)
             if all(e & c for e in h.edges):
-                return CoverResult(True, size, c)
+                return CoverResult(True, size, frozenset(combo))
     raise AssertionError("unreachable: full support always covers")

@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .graphs import Graph, complement
+from .graphs import GRAPH_SIZE_CAP, Graph, complement
 from .hypergraphs import CoverResult, Hypergraph, covering_number, covering_number_at_most
-from .separation import code_masks, is_x_code
+from .separation import code_hypergraph, is_x_code
 
 __all__ = [
     "TestCoverInstance",
@@ -96,7 +96,7 @@ def validate_test_cover(inst: TestCoverInstance) -> bool:
 def _splitting_hypergraph(inst: TestCoverInstance) -> Hypergraph:
     edges = []
     for u, v in itertools.combinations(range(inst.num_items), 2):
-        edges.append(frozenset(i for i, t in enumerate(inst.tests) if (u in t) != (v in t)))
+        edges.append(sum(1 << i for i, t in enumerate(inst.tests) if (u in t) != (v in t)))
     return Hypergraph(len(inst.tests), tuple(edges))
 
 
@@ -162,25 +162,54 @@ def build_reduction(inst: TestCoverInstance, s: str) -> ReductionArtifact:
     k carry over unchanged.
     """
     _check_instance(inst)
+    if s not in ("I", "O", "F", "L"):
+        raise ValueError("no reduction for separation kind %r" % s)
+    if s == "L" and inst.budget == 0:
+        raise ValueError("the L reduction needs a budget of at least 1 "
+                         "(at budget 0 its forward set exceeds k)")
+    n, m = _reduction_size(inst, s)
+    if n + m > GRAPH_SIZE_CAP:
+        raise ValueError("the %s reduction would have %d vertices and %d edges, over the cap "
+                         "of %d vertices plus edges" % (s, n, m, GRAPH_SIZE_CAP))
     if s == "O":
         art = build_reduction(inst, "I")
         return ReductionArtifact("O", inst, complement(art.graph), art.k,
                                  art.labels, art.regions)
-    if s in REDUCTION_PARAMS:
-        edges, labels, regions, k = _clique_regions(inst, s)
-    elif s == "L":
-        if inst.budget == 0:
-            raise ValueError("the L reduction needs a budget of at least 1 "
-                             "(at budget 0 its forward set exceeds k)")
+    if s == "L":
         edges, labels, regions, k = _locating_regions(inst)
     else:
-        raise ValueError("no reduction for separation kind %r" % s)
+        edges, labels, regions, k = _clique_regions(inst, s)
     gadget = build_gadget(s)
     nxt = len(labels)  # every vertex of M, R and W has one label
     for i, w in enumerate(regions["W"]):
         nxt = _place_gadget(gadget, edges, labels, regions, nxt, "T%d" % i, [w])
     nxt = _place_gadget(gadget, edges, labels, regions, nxt, "U", regions["M"])
     return ReductionArtifact(s, inst, Graph.from_edges(nxt, edges), k, labels, regions)
+
+
+def _reduction_size(inst: TestCoverInstance, s: str) -> tuple[int, int]:
+    """Vertices and edges of the graph `build_reduction` gives for kind s,
+    counted from the instance and the `_GADGETS` row without building it.
+
+    I and F: the items M (a clique), one vertex per test joined to its
+    items, and y + 1 gadget blocks, U's joined to all of M.  L: r = budget
+    + 1 copies of M, each with two joined closed-twin pairs, the test
+    vertices joined to every copy, and U joined to all r copies.  O: the
+    complement of the I graph."""
+    paths, attach = _GADGETS["I" if s == "O" else s][:2]
+    gn, gm = max(map(max, paths)), sum(len(p) - 1 for p in paths)
+    z, y = inst.num_items, len(inst.tests)
+    joins = sum(len(t) for t in inst.tests)  # item-test edges of one copy of M
+    r = inst.budget + 1 if s == "L" else 1
+    n = r * z + y + (y + 1) * gn
+    m = r * joins + (y + 1) * gm + (y + r * z) * len(attach)
+    if s == "L":
+        n, m = n + 4 * r, m + r * (4 * z + 2)
+    else:
+        m += z * (z - 1) // 2
+    if s == "O":
+        m = n * (n - 1) // 2 - m
+    return n, m
 
 
 def _place_gadget(gadget, edges, labels, regions, start: int, tag: str, anchors) -> int:
@@ -362,7 +391,7 @@ def verify_reduction_iff(inst: TestCoverInstance, s: str) -> bool:
     art = build_reduction(inst, s)
     tc = solve_test_cover(inst)
     lhs = tc.feasible and tc.tau <= inst.budget
-    rhs = covering_number_at_most(code_masks(art.graph, s), art.k)
+    rhs = covering_number_at_most(code_hypergraph(art.graph, s), art.k)
     return lhs == rhs
 
 

@@ -10,9 +10,8 @@ every vertex.  Two deliberately redundant routes are exposed: `is_x_code`
 works from the neighborhood definitions, while `number` computes the
 covering number of the code hypergraph.  Their agreement, checked by
 `x_number_bruteforce`, is the executable form of the hypergraph
-characterization.  One builder (`_code_edges`) gives the edges in both
-forms: as bitmasks (`code_masks`), which `number` hands to the solver as
-they are, and as frozensets (`code_hypergraph`), the public view.
+characterization.  `code_hypergraph` builds the edges as bitmasks, XORs
+of neighborhood masks, and `number` hands them to the solver as they are.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, closed_neighborhood, open_neighborhood
-from .hypergraphs import CoverResult, EdgeMasks, Hypergraph, covering_number
+from .hypergraphs import CoverResult, Hypergraph, covering_number
 from .kinds import split_code_kind
 
 __all__ = [
     "code_hypergraph",
-    "code_masks",
     "is_x_code",
     "number",
     "x_number_bruteforce",
@@ -44,10 +42,10 @@ _SEP_RECIPE = {
 }
 
 
-def _code_edges(g: Graph, kind: str, opn, closed) -> list:
-    """The edges of the code hypergraph, from the open and closed
-    neighborhoods `opn` and `closed` of every vertex, given as bitmasks or
-    as frozensets: `^` is the symmetric difference of either.
+def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
+    """Raw hypergraph whose covers are the sets of the given kind, built
+    from the open and closed neighborhood masks of every vertex: `^` of two
+    masks is the symmetric difference of the neighborhoods.
 
     The separation part gives one hyperedge per vertex pair, the symmetric
     difference of the neighborhoods its recipe names: first the adjacent
@@ -56,7 +54,8 @@ def _code_edges(g: Graph, kind: str, opn, closed) -> list:
     of every vertex, in vertex order.
     """
     sep, dom = split_code_kind(kind)
-    nbhd = {"open": opn, "closed": closed}
+    opn = [sum(1 << u for u in a) for a in g.adj]
+    nbhd = {"open": opn, "closed": [m | 1 << v for v, m in enumerate(opn)]}
     edges = []
     if sep is not None:
         adj_nb, non_nb = (nbhd[t] for t in _SEP_RECIPE[sep])
@@ -69,20 +68,7 @@ def _code_edges(g: Graph, kind: str, opn, closed) -> list:
         edges += non
     if dom is not None:
         edges += nbhd["closed" if dom == "D" else "open"]
-    return edges
-
-
-def code_masks(g: Graph, kind: str) -> EdgeMasks:
-    """The edges of `code_hypergraph`, in its order, as bitmasks."""
-    opn = [sum(1 << u for u in a) for a in g.adj]
-    closed = [m | 1 << v for v, m in enumerate(opn)]
-    return EdgeMasks(g.n, tuple(_code_edges(g, kind, opn, closed)))
-
-
-def code_hypergraph(g: Graph, kind: str) -> Hypergraph:
-    """Raw hypergraph whose covers are the sets of the given kind."""
-    closed = [a | {v} for v, a in enumerate(g.adj)]
-    return Hypergraph(g.n, tuple(_code_edges(g, kind, g.adj, closed)))
+    return Hypergraph(g.n, tuple(edges))
 
 
 def _separates(g: Graph, s: str, c: frozenset[int]) -> bool:
@@ -127,7 +113,7 @@ def is_x_code(g: Graph, kind: str, c: frozenset[int]) -> bool:
 
 def number(g: Graph, kind: str) -> CoverResult:
     """Minimum set of any kind (separation, domination or code)."""
-    return covering_number(code_masks(g, kind))
+    return covering_number(code_hypergraph(g, kind))
 
 
 def _bruteforce_min(g: Graph, accept) -> CoverResult:

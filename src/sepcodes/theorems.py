@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, complement, detect_twins, make_family
 from .kinds import CODE_KINDS, DOMINATION_KINDS, SEPARATION_KINDS, split_code_kind
-from .separation import code_masks, is_x_code, number
+from .separation import code_hypergraph, is_x_code, number
 
 __all__ = [
     "TheoremReport",
@@ -215,14 +215,14 @@ def check_complement_duality(g: Graph, numbers=None, co_numbers=None) -> Theorem
 
     # clutter identities; these hold with no twin hypothesis
     for s, t in COMPLEMENT_PAIRS:
-        lhs = code_masks(g, s).clutter()
-        rhs = code_masks(gc, t).clutter()
+        lhs = code_hypergraph(g, s).clutter()
+        rhs = code_hypergraph(gc, t).clutter()
         if set(lhs.edges) != set(rhs.edges):
             report.fail(
                 g,
                 "clutter:%s(G)=%s(co-G)" % (s, t),
-                {"lhs": sorted(map(sorted, lhs.sets().edges)),
-                 "rhs": sorted(map(sorted, rhs.sets().edges))},
+                {"lhs": sorted(map(sorted, lhs.sets())),
+                 "rhs": sorted(map(sorted, rhs.sets()))},
             )
     return report
 

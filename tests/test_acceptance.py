@@ -17,7 +17,7 @@ import pytest
 
 from sepcodes.catalog import random_graphs, small_graph_catalog
 from sepcodes.graphs import complement, detect_twins, make_family
-from sepcodes.hypergraphs import complete_rose, covering_number, reduce_to_clutter
+from sepcodes.hypergraphs import complete_rose, covering_number
 from sepcodes.kinds import SEPARATION_KINDS
 from sepcodes.reductions import (
     TestCoverInstance,
@@ -144,8 +144,8 @@ def crit6_report():
             if not (nums[a].feasible and co[b].feasible and nums[a].tau == co[b].tau):
                 violations.append({"item": "%s(G)=%s(co-G)" % (a, b),
                                    "edges": g.edges()})
-            lhs = set(reduce_to_clutter(code_hypergraph(g, a)).edges)
-            rhs = set(reduce_to_clutter(code_hypergraph(gc, b)).edges)
+            lhs = set(code_hypergraph(g, a).clutter().edges)
+            rhs = set(code_hypergraph(gc, b).clutter().edges)
             if lhs != rhs:
                 violations.append({"item": "clutter:%s/%s" % (a, b),
                                    "edges": g.edges()})

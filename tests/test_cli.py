@@ -215,6 +215,22 @@ def test_reduce_bad_instance(capsys, tmp_path):
     assert code == 1
 
 
+def test_reduce_refuses_graphs_over_the_size_cap(capsys, tmp_path):
+    # the L graph holds budget + 1 copies of the items: budget 10**5 gives
+    # 600 020 vertices and 1 600 032 edges, and budget 10**8 is refused as
+    # fast, from the instance's counts before any graph is built
+    tc = tmp_path / "tc.txt"
+    for budget in (10**5, 10**8):
+        tc.write_text("2 2 %d\n0\n1\n" % budget)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["reduce", "--testcover", str(tc), "--sep", "L"])
+        assert time.perf_counter() - start < 1.0, budget
+        assert code == 1 and not out and "over the cap of 1000000" in err, budget
+    tc.write_text("2 2 1000\n0\n1\n")
+    code, out, _ = run(capsys, ["reduce", "--testcover", str(tc), "--sep", "L"])
+    assert code == 0 and json.loads(out)["n"] == 6 * 1001 + 14
+
+
 def test_dump_clutter(capsys, tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text(format_graph(make_family("path", 4)))

@@ -13,12 +13,11 @@ from sepcodes.hypergraphs import (
     covering_number_bruteforce,
     format_hypergraph,
     is_cover,
-    reduce_to_clutter,
 )
 
 
 def hg(n, edges):
-    return Hypergraph(n, tuple(frozenset(e) for e in edges))
+    return Hypergraph(n, tuple(sum(1 << v for v in set(e)) for e in edges))
 
 
 def hypergraphs(max_n=8, max_edges=8, min_edge_size=0):
@@ -41,7 +40,7 @@ def joined_hypergraphs():
         def relabel(perm):
             edges, offset = [], 0
             for p in parts:
-                edges += [{perm[offset + v] for v in e} for e in p.edges]
+                edges += [{perm[offset + v] for v in e} for e in p.sets()]
                 offset += p.n
             return hg(n, edges)
 
@@ -56,16 +55,19 @@ def test_is_cover_basic():
     assert is_cover(h, {1})
     assert not is_cover(h, set())
     assert not is_cover(hg(3, [{0, 1}, set()]), {0, 1, 2})
+    for outside in ({3}, {-1}, {1, -2}):
+        with pytest.raises(ValueError, match="outside universe"):
+            is_cover(h, outside)
 
 
 def test_clutter_superset_removal():
     h = hg(3, [{0, 1}, {0, 1, 2}])
-    assert set(reduce_to_clutter(h).edges) == {frozenset({0, 1})}
+    assert set(h.clutter().sets()) == {frozenset({0, 1})}
 
 
 def test_clutter_dedup():
     h = hg(1, [{0}, {0}])
-    assert reduce_to_clutter(h).edges == (frozenset({0}),)
+    assert h.clutter().sets() == (frozenset({0}),)
 
 
 def test_covering_triangle():
@@ -112,7 +114,7 @@ def test_covering_at_most():
     # with K4 on 5..8 (tau 3, more edges) after it, the path is not the last
     # component: it must be solved exactly, or K4's cap drops to 2
     k4 = [{u, v} for u in range(5, 9) for v in range(u + 1, 9)]
-    both = hg(9, path.edges + tuple(k4))
+    both = hg(9, path.sets() + tuple(k4))
     assert covering_number_at_most(both, 5)
     assert not covering_number_at_most(both, 4)
 
@@ -160,8 +162,8 @@ def test_solver_matches_bruteforce(h):
 @given(hypergraphs())
 @settings(max_examples=200, deadline=None)
 def test_clutter_is_the_minimal_edges_in_size_order(h):
-    minimal = {e for e in h.edges if not any(f < e for f in h.edges)}
-    edges = reduce_to_clutter(h).edges
+    minimal = {e for e in h.sets() if not any(f < e for f in h.sets())}
+    edges = h.clutter().sets()
     assert len(edges) == len(set(edges))
     assert set(edges) == minimal
     assert [len(e) for e in edges] == sorted(len(e) for e in edges)
@@ -179,7 +181,7 @@ def test_capped_decision_matches_tau_on_every_budget(h):
 @given(hypergraphs())
 @settings(max_examples=100, deadline=None)
 def test_clutter_preserves_tau(h):
-    assert covering_number(h).tau == covering_number(reduce_to_clutter(h)).tau
+    assert covering_number(h).tau == covering_number(h.clutter()).tau
 
 
 @given(hypergraphs())
@@ -199,9 +201,9 @@ def test_refinement_monotone(h, rnd):
     if any(not e for e in h.edges):
         return
     coarser = []
-    for e in h.edges:
+    for e in h.sets():
         extra = {v for v in range(h.n) if rnd.random() < 0.4}
-        coarser.append(frozenset(e) | extra)
+        coarser.append(e | extra)
     hc = hg(h.n, coarser)
     res = covering_number(h)
     if res.feasible:

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from sepcodes.catalog import random_graph
-from sepcodes.hypergraphs import covering_number, reduce_to_clutter
+from sepcodes.hypergraphs import covering_number
 from sepcodes.kinds import ALL_KINDS
 from sepcodes.reductions import build_reduction, tiny_instances
 from sepcodes.separation import code_hypergraph
@@ -24,7 +24,7 @@ sparse = pytest.importorskip("scipy.sparse")
 def milp_tau(h):
     """Minimum number of vertices meeting every edge of h; None if an edge
     is empty."""
-    edges = reduce_to_clutter(h).edges
+    edges = h.clutter().sets()
     if any(not e for e in edges):
         return None
     if not edges:

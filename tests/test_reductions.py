@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from sepcodes import reductions
 from sepcodes.graphs import complement, format_graph
 from sepcodes.reductions import (
     REDUCTION_PARAMS,
@@ -83,6 +84,21 @@ def test_reduction_rejects_degenerate():
     assert build_reduction(one, "I").graph.n == 1 + 0 + 6
     with pytest.raises(ValueError, match="budget of at least 1"):
         build_reduction(one, "L")
+
+
+def test_size_cap_counts_the_graph_before_building_it(monkeypatch):
+    # the vertices plus edges that build_reduction checks against the cap,
+    # before building, are exactly those of the graph it builds
+    for i in list(tiny_instances(3, 3, 2))[::3]:
+        for s in ("I", "O", "F", "L"):
+            g = build_reduction(i, s).graph
+            size = g.n + g.num_edges()
+            monkeypatch.setattr(reductions, "GRAPH_SIZE_CAP", size)
+            assert build_reduction(i, s).graph == g
+            monkeypatch.setattr(reductions, "GRAPH_SIZE_CAP", size - 1)
+            with pytest.raises(ValueError, match="over the cap of %d " % (size - 1)):
+                build_reduction(i, s)
+            monkeypatch.undo()
 
 
 def test_o_reduction_is_complement_of_i():

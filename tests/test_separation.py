@@ -19,11 +19,10 @@ from sepcodes.hypergraphs import (
     Hypergraph,
     covering_number,
     covering_number_at_most,
-    reduce_to_clutter,
 )
 from sepcodes.kinds import ALL_KINDS, CODE_KINDS, SEPARATION_KINDS, split_code_kind
 from sepcodes.reductions import build_reduction, tiny_instances
-from sepcodes.separation import code_hypergraph, code_masks, is_x_code, number, x_number_bruteforce
+from sepcodes.separation import code_hypergraph, is_x_code, number, x_number_bruteforce
 
 
 def graphs(max_n=6):
@@ -58,8 +57,8 @@ def test_delta_p4():
     # difference, so the edge (1,2) contributes the full vertex set to O
     # (open for adjacent pairs) and {0,3} to I (closed for adjacent pairs)
     g = make_family("path", 4)
-    assert {0, 1, 2, 3} in code_hypergraph(g, "O").edges
-    assert {0, 3} in code_hypergraph(g, "I").edges
+    assert {0, 1, 2, 3} in code_hypergraph(g, "O").sets()
+    assert {0, 3} in code_hypergraph(g, "I").sets()
 
 
 def test_delta_thin_spider_identities():
@@ -67,9 +66,9 @@ def test_delta_thin_spider_identities():
     # non-adjacent (open differences: O and F)
     k = 4
     g = make_family("thin_spider", k)
-    closed_adj = set(code_hypergraph(g, "I").edges)
-    open_non = set(code_hypergraph(g, "O").edges)
-    full = set(code_hypergraph(g, "F").edges)
+    closed_adj = set(code_hypergraph(g, "I").sets())
+    open_non = set(code_hypergraph(g, "O").sets())
+    full = set(code_hypergraph(g, "F").sets())
     for i in range(k):
         for j in range(i + 1, k):
             assert {k + i, k + j} in closed_adj & full
@@ -94,16 +93,16 @@ def test_separation_hypergraph_recipes():
         expected = [diff(adj_kind, u, v) for u, v in pairs if g.has_edge(u, v)]
         expected += [diff(non_kind, u, v) for u, v in pairs if not g.has_edge(u, v)]
         h = code_hypergraph(g, s)
-        assert list(h.edges) == expected, s
+        assert list(h.sets()) == expected, s
         for dom, kind in (("D", "closed"), ("TD", "open")):
             dom_edges = tuple(nbhd[kind](g, v) for v in range(g.n))
-            assert code_hypergraph(g, s + dom).edges == h.edges + dom_edges, s + dom
+            assert code_hypergraph(g, s + dom).sets() == h.sets() + dom_edges, s + dom
     assert all(e for e in code_hypergraph(make_family("path", 4), "I").edges)
 
 
 def test_code_hypergraph_edge_order_is_pinned():
     # the raw edge order of every kind, as its recipe lays it out; a change
-    # moves this digest.  The bitmask form has the same edges in that order.
+    # moves this digest.
     graphs = [make_family("path", 6), make_family("cycle", 5), make_family("star", 3),
               make_family("thin_spider", 3), make_family("clique", 3),
               Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])]
@@ -112,8 +111,7 @@ def test_code_hypergraph_edge_order_is_pinned():
         for kind in ALL_KINDS:
             digest.update(("%s\n" % kind).encode())
             h = code_hypergraph(g, kind)
-            assert h.masks() == code_masks(g, kind) and code_masks(g, kind).sets() == h
-            for e in h.edges:
+            for e in h.sets():
                 digest.update((" ".join(map(str, sorted(e))) + "\n").encode())
     assert digest.hexdigest() == (
         "31039e47d656897c40ecc7af4acb7d0eac8b9d09260aeccd2e5da9b5a26b42d0")
@@ -127,26 +125,26 @@ def test_open_twins_give_empty_edge():
 
 def test_full_separation_clutter_of_thin_spider():
     k = 4
-    h = reduce_to_clutter(code_hypergraph(make_family("thin_spider", k), "F"))
+    h = code_hypergraph(make_family("thin_spider", k), "F").clutter()
     expected = {frozenset({i, j}) for i in range(k) for j in range(i + 1, k)}
     expected |= {frozenset({k + i, k + j}) for i in range(k) for j in range(i + 1, k)}
-    assert set(h.edges) == expected
+    assert set(h.sets()) == expected
 
 
 def test_closed_separation_clutter_of_thin_spider():
     # minimal edges: Q minus one vertex, per clique vertex, and all {s_i,s_j}
     k = 4
-    h = reduce_to_clutter(code_hypergraph(make_family("thin_spider", k), "I"))
+    h = code_hypergraph(make_family("thin_spider", k), "I").clutter()
     q = frozenset(range(k))
     expected = {q - {i} for i in range(k)}
     expected |= {frozenset({k + i, k + j}) for i in range(k) for j in range(i + 1, k)}
-    assert set(h.edges) == expected
+    assert set(h.sets()) == expected
 
 
 def test_code_hypergraph_domination_edges():
     k4 = make_family("clique", 4)
     hd = code_hypergraph(k4, "D")
-    assert list(hd.edges) == [frozenset({0, 1, 2, 3})] * 4
+    assert list(hd.sets()) == [frozenset({0, 1, 2, 3})] * 4
     assert covering_number(hd).tau == 1
     iso = Graph.from_edges(2, [])
     assert not covering_number(code_hypergraph(iso, "TD")).feasible
@@ -265,15 +263,15 @@ def self_reduced_witness(h, tau):
     leaves.  If v is in the lex-min minimum cover, the rest of that cover
     fits; if not, a fitting cover would give a minimum cover that holds v
     and agrees with it below v, which sorts first."""
-    kept, rejected = frozenset(), frozenset()
-    for v in sorted(set().union(*h.edges)):
-        taken = kept | {v}
-        rest = Hypergraph(h.n, tuple(e - rejected for e in h.edges if not e & taken))
-        if covering_number_at_most(rest, tau - len(taken)):
+    kept = rejected = 0  # bitmasks, like the edges
+    for v in sorted(set().union(*h.sets())):
+        taken = kept | 1 << v
+        rest = Hypergraph(h.n, tuple(e & ~rejected for e in h.edges if not e & taken))
+        if covering_number_at_most(rest, tau - taken.bit_count()):
             kept = taken
         else:
-            rejected |= {v}
-    return kept
+            rejected |= 1 << v
+    return frozenset(v for v in range(h.n) if kept >> v & 1)
 
 
 def test_witness_matches_self_reduction_past_the_bruteforce_range():
@@ -285,7 +283,7 @@ def test_witness_matches_self_reduction_past_the_bruteforce_range():
     cases += [(random_graph(n, 0.5, random.Random(n)), kind)
               for n in (17, 18, 19) for kind in ALL_KINDS]
     for g, kind in cases:
-        h = reduce_to_clutter(code_hypergraph(g, kind))
+        h = code_hypergraph(g, kind).clutter()
         res = covering_number(h)
         if res.feasible:
             assert res.witness == self_reduced_witness(h, res.tau), (g.n, kind)

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepcodes import theorems
 from sepcodes.graphs import Graph, complement, detect_twins, make_family
-from sepcodes.hypergraphs import CoverResult
+from sepcodes.hypergraphs import CoverResult, Hypergraph
 from sepcodes.separation import is_x_code, number, x_number_bruteforce
 from sepcodes.theorems import (
     FIG2_ARROWS,
@@ -203,6 +206,32 @@ def test_duality_skips_under_twins():
     assert report.passed
     assert "I(G)=O(co-G)" in report.skipped
     assert "F(G)=F(co-G)" in report.skipped
+
+
+def test_duality_reports_a_broken_clutter_identity(monkeypatch):
+    # drop the first clutter edge of L on co-G only: the numbers still
+    # agree, and the report names the identity with both clutters
+    g = make_family("path", 5)
+    real = theorems.code_hypergraph
+
+    def broken(h, kind):
+        out = real(h, kind)
+        if h is g or kind != "L":
+            return out
+        return Hypergraph(out.n, out.clutter().edges[1:])
+
+    monkeypatch.setattr(theorems, "code_hypergraph", broken)
+    report = check_complement_duality(g)
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["item"] == "clutter:L(G)=L(co-G)"
+    lhs, rhs = ce["lhs"], ce["rhs"]
+    assert lhs == sorted(map(sorted, real(g, "L").clutter().sets()))
+    assert len(rhs) == len(lhs) - 1 and all(e in lhs for e in rhs)
+    for edges in (lhs, rhs):
+        assert edges == sorted(edges) and all(e == sorted(e) for e in edges)
+    back = json.loads(json.dumps(report.as_dict()))["counterexample"]
+    assert (back["item"], back["lhs"], back["rhs"]) == (ce["item"], lhs, rhs)
 
 
 @given(graphs(max_n=6))

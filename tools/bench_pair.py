@@ -11,7 +11,10 @@ BENCHMARK.json, once in each checkout, the parent first in odd pairs and
 the change first in even ones.  Each side's commit and the git tree of its
 src/ are recorded.  The output holds every run, and per workload and end-to-end
 metric each side's median and quartiles, the pairs the change won, and a
-verdict against the metric's bound.  Standard library only.
+verdict against the metric's bound.  Before the pairs, each checkout runs the
+tier-1 suite once with pytest's `--durations=0`; its wall time, summary line
+and the call time of each acceptance criterion are recorded under "tier1".
+Standard library only.
 """
 
 from __future__ import annotations
@@ -20,10 +23,16 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=0", "--durations-min=0"]
+CRITERION = re.compile(r"\s*([\d.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\w+)")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -39,6 +48,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def tier1_times(checkout: Path) -> dict:
+    """One tier-1 run in the checkout, on its own src/: the wall time, the
+    exit code, pytest's summary line and each acceptance criterion's call
+    time, parsed from the durations table."""
+    path = [str(checkout.resolve() / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "summary": lines[-1].strip("= ") if lines else "",
+            "criterion_call_s": {m[2]: float(m[1]) for m in map(CRITERION.match, lines) if m}}
 
 
 def spread(values: list[float]) -> dict:
@@ -122,6 +147,9 @@ def main(argv=None) -> int:
         "change": commit_of(args.change),
         "workloads": {},
     }
+    out["tier1"] = {side: tier1_times(getattr(args, side)) for side in ("parent", "change")}
+    print("tier1: %s" % json.dumps({s: t["wall_s"] for s, t in out["tier1"].items()}),
+          file=sys.stderr)
     for name, pairs in plan.items():
         runs = []
         for seed in range(1, pairs + 1):
